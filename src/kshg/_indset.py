@@ -49,42 +49,47 @@ def _alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int
     """Independence number of the subgraph induced by `mask`.
 
     Vertices of degree 0 or 1 always belong to some optimum, so they are
-    taken greedily; otherwise the graph is split into connected components
-    and the search branches on a highest-degree vertex.
+    peeled greedily in a loop, caching the value of every peeled mask;
+    otherwise the graph is split into connected components and the search
+    branches on a highest-degree vertex.
     """
-    if mask == 0:
-        return 0
-    hit = cache.get(mask)
-    if hit is not None:
-        return hit
-    branch_vertex = -1
-    branch_degree = -1
-    m = mask
-    result = None
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        neighbors = adj[v] & mask
-        degree = neighbors.bit_count()
-        if degree == 0:
-            result = 1 + _alpha(adj, closed, mask ^ (1 << v), cache)
+    peeled: list[int] = []
+    while True:
+        if mask == 0:
+            result = 0
             break
-        if degree == 1:
-            result = 1 + _alpha(adj, closed, mask & ~closed[v], cache)
+        hit = cache.get(mask)
+        if hit is not None:
+            result = hit
             break
-        if degree > branch_degree:
-            branch_degree = degree
-            branch_vertex = v
-    if result is None:
-        comps = _components(adj, mask)
-        if len(comps) > 1:
-            result = sum(_alpha(adj, closed, comp, cache) for comp in comps)
-        else:
-            v = branch_vertex
-            taken = 1 + _alpha(adj, closed, mask & ~closed[v], cache)
-            skipped = _alpha(adj, closed, mask ^ (1 << v), cache)
-            result = max(taken, skipped)
-    cache[mask] = result
+        branch_vertex = -1
+        branch_degree = -1
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            degree = (adj[v] & mask).bit_count()
+            if degree <= 1:
+                peeled.append(mask)
+                mask = mask ^ (1 << v) if degree == 0 else mask & ~closed[v]
+                break
+            if degree > branch_degree:
+                branch_degree = degree
+                branch_vertex = v
+        else:  # no vertex of degree 0 or 1 is left
+            comps = _components(adj, mask)
+            if len(comps) > 1:
+                result = sum(_alpha(adj, closed, comp, cache) for comp in comps)
+            else:
+                v = branch_vertex
+                taken = 1 + _alpha(adj, closed, mask & ~closed[v], cache)
+                skipped = _alpha(adj, closed, mask ^ (1 << v), cache)
+                result = max(taken, skipped)
+            cache[mask] = result
+            break
+    for m in reversed(peeled):
+        result += 1
+        cache[m] = result
     return result
 
 

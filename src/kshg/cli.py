@@ -24,9 +24,12 @@ from .bounds import (
 )
 from .errors import CapacityError, ValidationError
 from .expansion import (
+    DEFAULT_BIT_LIMIT,
     Assignment,
     brute_force_max,
+    check_enumeration_capacity,
     expand,
+    expanded_vertex_count,
     expand_hyper_edge,
     ks_propagate,
     mis_oracle,
@@ -34,11 +37,13 @@ from .expansion import (
     vertex_label,
 )
 from .hypergraph import (
+    DEFAULT_MIS_LIMIT,
     FAMILIES,
     FamilySpec,
     HyperEdge,
     HyperGraph,
     build_from_rays,
+    check_search_capacity,
     generate,
     random_hypergraph,
 )
@@ -186,7 +191,7 @@ def _load_graph(path: str) -> HyperGraph:
 def _default_max_bits() -> int:
     raw = os.environ.get("KSHG_MAX_BITS")
     if raw is None:
-        return 30
+        return DEFAULT_BIT_LIMIT
     try:
         value = int(raw)
     except ValueError:
@@ -280,8 +285,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_brute(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
-    g = expand(h)
     max_bits = args.max_bits if args.max_bits is not None else _default_max_bits()
+    check_enumeration_capacity(expanded_vertex_count(h), max_bits)
+    g = expand(h)
     maximum = brute_force_max(g, max_bits=max_bits)
     _emit(
         [
@@ -298,6 +304,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 def _cmd_mis(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
+    check_search_capacity(expanded_vertex_count(h), args.max_vertices)
     g = expand(h)
     value = mis_oracle(g, max_vertices=args.max_vertices)
     _emit(
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bound", "classical bound of a hyper-graph (exact MIS)")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=64)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_bound)
 
     p = add("brute", "brute-force maximum of the expanded expression")
@@ -522,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mis", "independence number of the expanded graph")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=64)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_mis)
 
     p = add("expand", "expand a hyper-graph, optionally exporting DOT")
@@ -535,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", required=True, help="rays file, one ray per vertex")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--underweight", choices=("error", "warn"), default="error")
-    p.add_argument("--max-vertices", type=int, default=64)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_quantum)
 
     p = add("demo", "run the forced-contradiction demo")

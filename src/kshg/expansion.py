@@ -16,12 +16,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import _indset
 from .errors import CapacityError, ValidationError
-from .hypergraph import HyperGraph
+from .hypergraph import DEFAULT_MIS_LIMIT, HyperGraph, check_search_capacity
 
 DEFAULT_BIT_LIMIT = 30
-DEFAULT_MIS_LIMIT = 64
+# Largest score matrix of the exhaustive enumeration, in float32 entries
+# (256 KB); larger blocks cost peak memory and gain little speed.
+ENUM_BLOCK_ENTRIES = 1 << 16
+# At most 2^12 low-half states, so each block scores at least 16 high-half states.
+ENUM_LOW_BITS = 12
 
 AUX_KINDS = ("p", "q", "a+", "a-", "b+", "b-")
 
@@ -294,42 +300,66 @@ def evaluate_edge_observable(fragment: ExpandedGraph, a: Assignment) -> int:
     return evaluate(fragment, a) - a.values[cores[0]] - a.values[cores[1]]
 
 
-def _gray_walk_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
+def _bits(values, width: int) -> np.ndarray:
+    """One float32 0/1 row per value: its low `width` bits, least significant first."""
+    column = np.asarray(values, dtype=np.int64).reshape(-1, 1)
+    return ((column >> np.arange(width)) & 1).astype(np.float32)
+
+
+def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     """Exact max of the expression (minus penalized vertices) over all 2^n assignments.
 
-    Gray-code walk: each step flips one vertex and updates the expression
-    incrementally from the selected-neighbor count.
+    With the vertices split into a low half L and a high half H, the
+    expression is f_L(x_L) + f_H(x_H) - x_L . (A_LH x_H). One matrix product
+    scores a block of high states against every low state; each row's max
+    plus f_H is the best over that high state. High states are generated
+    one block at a time. float32 is exact here: every value is an integer
+    of size at most n^2 < 2^24.
     """
-    best = 0
-    value = 0
-    state = 0
-    for step in range(1, 1 << n):
-        k = (step & -step).bit_length() - 1
-        bit = 1 << k
-        selected = (state & adjacency[k]).bit_count()
-        if state & bit:
-            value += selected - 1
-            if (penalty >> k) & 1:
-                value += 1
-        else:
-            value += 1 - selected
-            if (penalty >> k) & 1:
-                value -= 1
-        state ^= bit
-        if value > best:
-            best = value
-    return best
+    low = min((n + 1) // 2, ENUM_LOW_BITS)
+    high = n - low
+    adj = _bits(adjacency, n)
+    gain = 1.0 - _bits(penalty, n)[0]
+
+    def objective(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return x @ gain[lo:hi] - 0.5 * ((x @ adj[lo:hi, lo:hi]) * x).sum(axis=1)
+
+    x_low = _bits(np.arange(1 << low), low)
+    table = np.vstack([x_low.T, objective(x_low, 0, low)])
+    # High states carry an always-set extra top bit; `coupling` maps it onto
+    # the f_L row of `table`, so one product gives f_L - x_L . (A_LH x_H).
+    coupling = np.zeros((high + 1, low + 1), dtype=np.float32)
+    coupling[:high, :low] = -adj[low:, :low]
+    coupling[high, low] = 1.0
+    chunk = ENUM_BLOCK_ENTRIES >> low
+    best = 0.0
+    for start in range(0, 1 << high, chunk):
+        x_high = _bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
+        scores = (x_high @ coupling) @ table
+        block = scores.max(axis=1) + objective(x_high[:, :high], low, n)
+        best = max(best, float(block.max()))
+    return int(best)
+
+
+def expanded_vertex_count(h: HyperGraph) -> int:
+    """Vertex count of `expand(h)`, known before anything is allocated."""
+    return h.vertex_count + 6 * h.weight_sum
+
+
+def check_enumeration_capacity(
+    n: int, max_bits: int | None = None, advice: str = "; use mis_oracle instead"
+) -> None:
+    """Refuse to enumerate the 2^n assignments of n vertices beyond the bit limit."""
+    limit = DEFAULT_BIT_LIMIT if max_bits is None else max_bits
+    if n > limit:
+        raise CapacityError(f"{n} vertices exceed the {limit}-bit enumeration limit{advice}")
 
 
 def brute_force_max(g: ExpandedGraph, *, max_bits: int | None = None) -> int:
-    """Exact maximum of `evaluate` over all assignments, by exhaustive walk."""
-    limit = DEFAULT_BIT_LIMIT if max_bits is None else max_bits
+    """Exact maximum of `evaluate` over all assignments, by exhaustive enumeration."""
     n = len(g.vertices)
-    if n > limit:
-        raise CapacityError(
-            f"{n} vertices exceed the {limit}-bit enumeration limit; use mis_oracle instead"
-        )
-    return _gray_walk_max(n, g.adjacency_masks)
+    check_enumeration_capacity(n, max_bits)
+    return _block_max(n, g.adjacency_masks)
 
 
 def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None) -> int:
@@ -339,12 +369,10 @@ def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None)
         raise ValidationError(
             f"edge observable needs a single-edge expansion with 2 cores, found {len(cores)}"
         )
-    limit = DEFAULT_BIT_LIMIT if max_bits is None else max_bits
     n = len(fragment.vertices)
-    if n > limit:
-        raise CapacityError(f"{n} vertices exceed the {limit}-bit enumeration limit")
+    check_enumeration_capacity(n, max_bits, advice="")
     penalty = (1 << cores[0]) | (1 << cores[1])
-    return _gray_walk_max(n, fragment.adjacency_masks, penalty)
+    return _block_max(n, fragment.adjacency_masks, penalty)
 
 
 def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> int:
@@ -354,13 +382,8 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     expression, so its maximum is attained on an independent set and equals
     the independence number.
     """
-    n = len(g.vertices)
-    if n > max_vertices:
-        raise CapacityError(
-            f"{n} vertices exceed the exact-search limit of {max_vertices}"
-        )
-    adj = _indset.adjacency_masks(n, g.edges)
-    return _indset.independence_number(adj)
+    check_search_capacity(len(g.vertices), max_vertices)
+    return _indset.independence_number(g.adjacency_masks)
 
 
 @dataclass(frozen=True)

@@ -322,6 +322,12 @@ def closed_form_independence(spec: FamilySpec) -> int:
     return 2  # wheel7
 
 
+def check_search_capacity(n: int, max_vertices: int) -> None:
+    """Refuse an exact independent-set search over more than `max_vertices` vertices."""
+    if n > max_vertices:
+        raise CapacityError(f"{n} vertices exceed the exact-search limit of {max_vertices}")
+
+
 def max_independent_set(
     h: HyperGraph,
     *,
@@ -335,10 +341,7 @@ def max_independent_set(
     to the plain enumeration engine (small graphs only); both engines must
     agree and the test suite checks that they do.
     """
-    if h.vertex_count > max_vertices:
-        raise CapacityError(
-            f"{h.vertex_count} vertices exceed the exact-search limit of {max_vertices}"
-        )
+    check_search_capacity(h.vertex_count, max_vertices)
     adj = _indset.adjacency_masks(h.vertex_count, ((e.i, e.j) for e in h.edges))
     if method == "branch":
         size, witness = _indset.branch_search(adj)

@@ -1,6 +1,7 @@
-"""Hand-checked coordinate fixtures shared across test modules."""
+"""Hand-checked coordinate fixtures and reference oracles shared across test modules."""
 
 import math
+from typing import Sequence
 
 from kshg import Ray
 
@@ -41,3 +42,31 @@ def cone_rays() -> list[Ray]:
             )
         )
     return out
+
+
+def _gray_walk_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
+    """Reference for the block enumeration: exact max of the expression
+    (minus penalized vertices) over all 2^n assignments.
+
+    Gray-code walk: each step flips one vertex and updates the expression
+    incrementally from the selected-neighbor count.
+    """
+    best = 0
+    value = 0
+    state = 0
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1
+        bit = 1 << k
+        selected = (state & adjacency[k]).bit_count()
+        if state & bit:
+            value += selected - 1
+            if (penalty >> k) & 1:
+                value += 1
+        else:
+            value += 1 - selected
+            if (penalty >> k) & 1:
+                value -= 1
+        state ^= bit
+        if value > best:
+            best = value
+    return best

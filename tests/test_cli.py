@@ -285,6 +285,29 @@ class TestExitCodes:
         assert code == 2
         assert "mis_oracle" in err
 
+    @pytest.mark.parametrize("command, limit", [
+        ("brute", "the 30-bit enumeration limit; use mis_oracle instead"),
+        ("mis", "the exact-search limit of 64"),
+    ])
+    def test_capacity_checked_before_expansion(self, capsys, tmp_path, monkeypatch, command, limit):
+        graph = tmp_path / "heavy.hg"
+        graph.write_text("vertices 2\nedge 1 2 1000000\n")
+
+        def refuse(h):
+            raise AssertionError("expand ran before the capacity check")
+
+        monkeypatch.setattr("kshg.cli.expand", refuse)
+        code, out, err = run(capsys, command, str(graph))
+        assert (code, out) == (2, "")
+        assert err == f"capacity error: 6000002 vertices exceed {limit}\n"
+
+    def test_bound_on_long_path(self, capsys, tmp_path):
+        graph = tmp_path / "path.hg"
+        run(capsys, "gen", "linear", "--k", "2000", "--weight", "0", "-o", str(graph))
+        code, out, _ = run(capsys, "bound", str(graph), "--max-vertices", "5000")
+        assert code == 0
+        assert "classical_bound = 1000\n" in out
+
     def test_usage_error_is_1(self, capsys):
         code, _, _ = run(capsys, "gen", "linear", "--k", "3")  # missing -o
         assert code == 1

@@ -2,8 +2,13 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _fixtures import _gray_walk_max
 
 from kshg import (
     Assignment,
@@ -20,6 +25,7 @@ from kshg import (
     evaluate_edge_observable,
     expand,
     expand_hyper_edge,
+    family_bound,
     generate,
     ks_propagate,
     max_edge_observable,
@@ -28,6 +34,7 @@ from kshg import (
     to_dot,
     vertex_label,
 )
+from kshg import expansion
 
 
 def enumerate_max(g: ExpandedGraph, subtract_cores: bool) -> int:
@@ -272,6 +279,44 @@ class TestBruteForceMax:
             bases = tuple(tuple(sorted(perm[t] for t in triple)) for triple in g.bases)
             shuffled = ExpandedGraph(tuple(vertices), edges, bases)
             assert brute_force_max(shuffled) == baseline
+
+
+@st.composite
+def masked_graphs(draw):
+    """(n, adjacency masks, penalty mask) on 0-16 vertices; row i's bits above i pick i's edges."""
+    n = draw(st.integers(0, 16))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    adjacency = [0] * n
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            if (row >> j) & 1:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return n, adjacency, draw(st.integers(0, (1 << n) - 1))
+
+
+class TestBlockEnumeration:
+    # The second setting splits even small graphs into many blocks of 4-32 states.
+    @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5)])
+    @settings(max_examples=100, deadline=None)
+    @given(case=masked_graphs())
+    def test_matches_gray_walk(self, low_bits, block_entries, case):
+        n, adjacency, penalty = case
+        with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries):
+            assert expansion._block_max(n, adjacency, penalty) == _gray_walk_max(n, adjacency, penalty)
+
+    def test_empty_graph(self):
+        assert brute_force_max(ExpandedGraph((), frozenset(), ())) == 0
+
+    def test_single_vertex(self):
+        assert brute_force_max(ExpandedGraph((CoreVertex(0),), frozenset(), ())) == 1
+        assert expansion._block_max(1, (0,), penalty=1) == 0
+
+    def test_26_bit_family_instance(self):
+        spec = FamilySpec("cyclic", k=8, weights=(1, 0, 0, 1, 0, 0, 1, 0))
+        g = expand(generate(spec))
+        assert len(g.vertices) == 26
+        assert brute_force_max(g) == family_bound(spec).total == 10
 
 
 class TestMisOracle:
