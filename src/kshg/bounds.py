@@ -12,21 +12,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .expansion import (
-    Assignment,
-    CoreVertex,
-    ExpandedGraph,
-    evaluate_edge_observable,
-    expand,
-    expand_hyper_edge,
-    vertex_label,
-)
+from .expansion import Assignment, ExpandedGraph, _gadget, expand, vertex_label
 from .hypergraph import (
     DEFAULT_MIS_LIMIT,
     FamilySpec,
     HyperGraph,
     closed_form_independence,
     family_edge_pairs,
+    family_weights,
     hyper_edge_weight,
     max_independent_set,
     remove_vertex,
@@ -87,16 +80,7 @@ def classical_bound(h: HyperGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> 
 
 def family_bound(spec: FamilySpec) -> ClassicalBound:
     """Closed-form classical bound for a family instance (no witness computed)."""
-    pairs = family_edge_pairs(spec)
-    if isinstance(spec.weights, int):
-        weight_sum = spec.weights * len(pairs)
-    else:
-        if len(spec.weights) != len(pairs):
-            raise ValidationError(
-                f"family {spec.family!r} has {len(pairs)} edges but "
-                f"{len(spec.weights)} weights were given"
-            )
-        weight_sum = sum(spec.weights)
+    weight_sum = sum(family_weights(spec, len(family_edge_pairs(spec))))
     independence = closed_form_independence(spec)
     weight_term = 2 * weight_sum
     return ClassicalBound(weight_term + independence, weight_term, independence, ())
@@ -110,9 +94,10 @@ def hypergraph_observable_value(h: HyperGraph, g: ExpandedGraph, a: Assignment) 
         )
     total = sum(a.values[: h.vertex_count])
     for frag in g.fragments:
-        sub = expand_hyper_edge(frag.weight, frag.edge_id)
-        sub_assignment = Assignment(tuple(a.values[t] for t in frag.vertex_indices))
-        total += evaluate_edge_observable(sub, sub_assignment)
+        # Edge observable: auxiliary values minus the gadget's edge products.
+        _, local_edges, _ = _gadget(frag.weight)
+        local = [a.values[t] for t in frag.vertex_indices]
+        total += sum(local[2:]) - sum(local[s] * local[t] for s, t in local_edges)
     return total
 
 
@@ -130,17 +115,13 @@ def check_subgraph_decomposition(h: HyperGraph, a: Assignment) -> DecompositionC
             f"subgraph decomposition needs at least 3 vertices, got {h.vertex_count}"
         )
     g = expand(h)
-    if len(a) != len(g.vertices):
-        raise ValidationError(
-            f"assignment covers {len(a)} vertices but the expansion has {len(g.vertices)}"
-        )
     value = hypergraph_observable_value(h, g, a)
     lhs = (h.vertex_count - 2) * value
     rhs = -sum(a.values[: h.vertex_count])
     for removed in range(h.vertex_count):
         sub_h, old_of_new = remove_vertex(h, removed)
         sub_g = expand(sub_h)
-        sub_a = _restrict_assignment(h, g, a, sub_h, sub_g, old_of_new)
+        sub_a = _restrict_assignment(h, g, a, sub_g, old_of_new)
         rhs += hypergraph_observable_value(sub_h, sub_g, sub_a)
     return DecompositionCheck(lhs == rhs, lhs, rhs)
 
@@ -149,20 +130,22 @@ def _restrict_assignment(
     h: HyperGraph,
     g: ExpandedGraph,
     a: Assignment,
-    sub_h: HyperGraph,
     sub_g: ExpandedGraph,
     old_of_new: tuple[int, ...],
 ) -> Assignment:
-    """Carry an expanded assignment over to the expansion of a removal subgraph."""
-    values = []
-    for vert in sub_g.vertices:
-        if isinstance(vert, CoreVertex):
-            values.append(a.values[old_of_new[vert.index]])
-        else:
-            sub_edge = sub_h.edges[vert.edge]
-            old_pair = (old_of_new[sub_edge.i], old_of_new[sub_edge.j])
-            original_edge_id = h.edge_index[old_pair]
-            values.append(a.values[g.aux_index(original_edge_id, vert.kind, vert.level)])
+    """Carry an expanded assignment over to the expansion of a removal subgraph.
+
+    Cores map through `old_of_new`; each surviving fragment takes its
+    auxiliary values by position from the original fragment of the same edge.
+    """
+    values = [0] * len(sub_g.vertices)
+    for new, old in enumerate(old_of_new):
+        values[new] = a.values[old]
+    for frag in sub_g.fragments:
+        i, j = frag.endpoints
+        original = g.fragments[h.edge_index[(old_of_new[i], old_of_new[j])]]
+        for new, old in zip(frag.vertex_indices[2:], original.vertex_indices[2:]):
+            values[new] = a.values[old]
     return Assignment(tuple(values))
 
 

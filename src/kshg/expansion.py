@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .errors import CapacityError, ValidationError
 from .hypergraph import DEFAULT_MIS_LIMIT, HyperGraph, check_search_capacity
 
 DEFAULT_BIT_LIMIT = 30
+# Hard ceiling on any bit limit: `_bits` holds adjacency masks in int64.
+ENUM_MAX_BITS = 62
 # Largest score matrix of the exhaustive enumeration, in float32 entries
 # (256 KB); larger blocks cost peak memory and gain little speed.
 ENUM_BLOCK_ENTRIES = 1 << 16
@@ -70,9 +72,10 @@ def vertex_label(v: ExpandedVertex) -> str:
 class Fragment:
     """Bookkeeping for one hyper-edge inside an expanded graph.
 
-    `vertex_indices` lists the two endpoint cores followed by the auxiliary
-    vertices in construction order, matching the vertex order of the
-    standalone graph built by `expand_hyper_edge` for the same weight.
+    `vertex_indices` maps each local vertex of the weight's gadget layout
+    (see `_gadget`) to its graph vertex: the two endpoint cores, then the
+    auxiliary vertices in construction order, matching the vertex order of
+    the standalone graph built by `expand_hyper_edge` for the same weight.
     """
 
     edge_id: int
@@ -128,11 +131,7 @@ class ExpandedGraph:
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        masks = [0] * len(self.vertices)
-        for i, j in self.edges:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-        return tuple(masks)
+        return tuple(_indset.adjacency_masks(len(self.vertices), self.edges))
 
     @cached_property
     def bases_of_vertex(self) -> tuple[tuple[int, ...], ...]:
@@ -185,96 +184,72 @@ def _pair(a: int, b: int) -> tuple[int, int]:
 
 
 def _gadget(
-    edge_id: int,
     weight: int,
-    core_p: int,
-    core_q: int,
-    first_aux: int,
-) -> tuple[list[AuxVertex], list[tuple[int, int]], list[tuple[int, int, int]], tuple[int, ...]]:
-    """Vertices, edges and bases of one edge gadget.
+) -> tuple[list[tuple[str, int]], list[tuple[int, int]], list[tuple[int, int, int]]]:
+    """Local layout of a weight-n gadget: auxiliary labels, edges and bases.
 
-    Auxiliary construction order: p chain levels 0..n-1, q chain levels
-    0..n-1, then per level 1..n the bridging four (a+, a-, b+, b-).
+    The endpoint cores are local vertices 0 and 1, and auxiliary vertex t is
+    local vertex 2 + t in construction order: p chain levels 0..n-1, q chain
+    levels 0..n-1, then per level 1..n the bridging four (a+, a-, b+, b-).
+    Every edge pair and basis triple is listed in increasing local order.
     """
     if weight == 0:
-        return [], [_pair(core_p, core_q)], [], (core_p, core_q)
-    aux: list[AuxVertex] = []
-    index: dict[tuple[str, int], int] = {}
-    cursor = first_aux
-
-    def add(kind: str, level: int) -> None:
-        nonlocal cursor
-        index[(kind, level)] = cursor
-        aux.append(AuxVertex(edge_id, kind, level))
-        cursor += 1
-
-    for level in range(weight):
-        add("p", level)
-    for level in range(weight):
-        add("q", level)
-    for level in range(1, weight + 1):
-        for kind in ("a+", "a-", "b+", "b-"):
-            add(kind, level)
-
-    def chain_p(level: int) -> int:
-        return core_p if level == weight else index[("p", level)]
-
-    def chain_q(level: int) -> int:
-        return core_q if level == weight else index[("q", level)]
-
-    edges = [_pair(chain_p(0), chain_q(0))]
+        return [], [(0, 1)], []
+    labels = [("p", level) for level in range(weight)]
+    labels += [("q", level) for level in range(weight)]
+    labels += [(kind, level) for level in range(1, weight + 1) for kind in AUX_KINDS[2:]]
+    # Chain vertex at each level 0..n; level n is the endpoint core itself.
+    chain_p = [*range(2, 2 + weight), 0]
+    chain_q = [*range(2 + weight, 2 + 2 * weight), 1]
+    edges = [(chain_p[0], chain_q[0])]
     bases = []
     for level in range(1, weight + 1):
-        ap = index[("a+", level)]
-        am = index[("a-", level)]
-        bp = index[("b+", level)]
-        bm = index[("b-", level)]
+        ap, am, bp, bm = range(4 * level + 2 * weight - 2, 4 * level + 2 * weight + 2)
+        p_low, q_low = chain_p[level - 1], chain_q[level - 1]
+        p_high, q_high = chain_p[level], chain_q[level]
         edges += [
-            _pair(chain_p(level - 1), ap),
-            _pair(chain_p(level - 1), bp),
-            _pair(ap, bp),
-            _pair(chain_q(level - 1), am),
-            _pair(chain_q(level - 1), bm),
-            _pair(am, bm),
-            _pair(chain_p(level), ap),
-            _pair(chain_p(level), am),
-            _pair(chain_q(level), bp),
-            _pair(chain_q(level), bm),
+            (p_low, ap), (p_low, bp), (ap, bp),
+            (q_low, am), (q_low, bm), (am, bm),
+            (p_high, ap), (p_high, am), (q_high, bp), (q_high, bm),
         ]
-        bases.append(tuple(sorted((chain_p(level - 1), ap, bp))))
-        bases.append(tuple(sorted((chain_q(level - 1), am, bm))))
-    order = (core_p, core_q) + tuple(range(first_aux, cursor))
-    return aux, edges, bases, order
+        bases += [(p_low, ap, bp), (q_low, am, bm)]
+    return labels, edges, bases
+
+
+def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]) -> ExpandedGraph:
+    """Place one gadget per (edge id, i, j, weight) on `vertex_count` shared cores.
+
+    Each gadget's auxiliary vertices are appended after the previous ones,
+    and its local layout is relabelled through the fragment's vertex order.
+    That order increases (i < j < every new vertex), so pairs stay sorted.
+    """
+    vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(vertex_count)]
+    edges: list[tuple[int, int]] = []
+    bases: list[tuple[int, int, int]] = []
+    fragments: list[Fragment] = []
+    for edge_id, i, j, weight in placements:
+        labels, local_edges, local_bases = _gadget(weight)
+        order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
+        first_basis = len(bases)
+        vertices.extend(AuxVertex(edge_id, kind, level) for kind, level in labels)
+        edges.extend((order[s], order[t]) for s, t in local_edges)
+        bases.extend((order[s], order[t], order[u]) for s, t, u in local_bases)
+        fragments.append(
+            Fragment(edge_id, (i, j), weight, order, tuple(range(first_basis, len(bases))))
+        )
+    return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
 
 
 def expand_hyper_edge(weight: int, edge_id: int = 0) -> ExpandedGraph:
     """Standalone gadget for one hyper-edge; the cores are vertices 0 and 1."""
     if weight < 0:
         raise ValidationError(f"hyper-edge weight must be non-negative, got {weight}")
-    aux, edges, bases, order = _gadget(edge_id, weight, 0, 1, 2)
-    fragment = Fragment(edge_id, (0, 1), weight, order, tuple(range(len(bases))))
-    vertices: tuple[ExpandedVertex, ...] = (CoreVertex(0), CoreVertex(1), *aux)
-    return ExpandedGraph(vertices, frozenset(edges), tuple(bases), (fragment,))
+    return _assemble(2, [(edge_id, 0, 1, weight)])
 
 
 def expand(h: HyperGraph) -> ExpandedGraph:
     """Expand every hyper-edge of `h`; cores share vertices, gadgets do not."""
-    vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(h.vertex_count)]
-    edges: list[tuple[int, int]] = []
-    bases: list[tuple[int, int, int]] = []
-    fragments: list[Fragment] = []
-    cursor = h.vertex_count
-    for edge_id, e in enumerate(h.edges):
-        aux, gadget_edges, gadget_bases, order = _gadget(edge_id, e.weight, e.i, e.j, cursor)
-        first_basis = len(bases)
-        vertices.extend(aux)
-        edges.extend(gadget_edges)
-        bases.extend(gadget_bases)
-        cursor += len(aux)
-        fragments.append(
-            Fragment(edge_id, (e.i, e.j), e.weight, order, tuple(range(first_basis, len(bases))))
-        )
-    return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
+    return _assemble(h.vertex_count, ((pos, e.i, e.j, e.weight) for pos, e in enumerate(h.edges)))
 
 
 def evaluate(g: ExpandedGraph, a: Assignment) -> int:
@@ -290,14 +265,20 @@ def evaluate(g: ExpandedGraph, a: Assignment) -> int:
     return total
 
 
-def evaluate_edge_observable(fragment: ExpandedGraph, a: Assignment) -> int:
-    """`evaluate` minus the two endpoint values, on a single-edge expansion."""
+def _edge_cores(fragment: ExpandedGraph) -> tuple[int, ...]:
+    """The two cores of a single-edge expansion."""
     cores = fragment.core_indices
     if len(cores) != 2:
         raise ValidationError(
             f"edge observable needs a single-edge expansion with 2 cores, found {len(cores)}"
         )
-    return evaluate(fragment, a) - a.values[cores[0]] - a.values[cores[1]]
+    return cores
+
+
+def evaluate_edge_observable(fragment: ExpandedGraph, a: Assignment) -> int:
+    """`evaluate` minus the two endpoint values, on a single-edge expansion."""
+    p, q = _edge_cores(fragment)
+    return evaluate(fragment, a) - a.values[p] - a.values[q]
 
 
 def _bits(values, width: int) -> np.ndarray:
@@ -349,8 +330,11 @@ def expanded_vertex_count(h: HyperGraph) -> int:
 def check_enumeration_capacity(
     n: int, max_bits: int | None = None, advice: str = "; use mis_oracle instead"
 ) -> None:
-    """Refuse to enumerate the 2^n assignments of n vertices beyond the bit limit."""
-    limit = DEFAULT_BIT_LIMIT if max_bits is None else max_bits
+    """Refuse to enumerate the 2^n assignments of n vertices beyond the bit limit.
+
+    The limit is `max_bits` (default `DEFAULT_BIT_LIMIT`), capped at `ENUM_MAX_BITS`.
+    """
+    limit = min(DEFAULT_BIT_LIMIT if max_bits is None else max_bits, ENUM_MAX_BITS)
     if n > limit:
         raise CapacityError(f"{n} vertices exceed the {limit}-bit enumeration limit{advice}")
 
@@ -364,14 +348,10 @@ def brute_force_max(g: ExpandedGraph, *, max_bits: int | None = None) -> int:
 
 def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None) -> int:
     """Exact maximum of the edge observable over all assignments."""
-    cores = fragment.core_indices
-    if len(cores) != 2:
-        raise ValidationError(
-            f"edge observable needs a single-edge expansion with 2 cores, found {len(cores)}"
-        )
+    p, q = _edge_cores(fragment)
     n = len(fragment.vertices)
     check_enumeration_capacity(n, max_bits, advice="")
-    penalty = (1 << cores[0]) | (1 << cores[1])
+    penalty = (1 << p) | (1 << q)
     return _block_max(n, fragment.adjacency_masks, penalty)
 
 

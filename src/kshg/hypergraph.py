@@ -87,12 +87,7 @@ class HyperGraph:
                     f"{len(rays)} rays cannot bind to {self.vertex_count} vertices"
                 )
             for e in canonical:
-                o = overlap(rays[e.i], rays[e.j])
-                if o >= 1.0 - PARALLEL_TOLERANCE:
-                    raise ValidationError(
-                        f"rays p{e.i + 1} and p{e.j + 1} are parallel (overlap {o:.12g}) "
-                        "across a hyper-edge"
-                    )
+                _non_parallel_overlap(rays, e.i, e.j, " across a hyper-edge")
 
     @cached_property
     def weight_sum(self) -> int:
@@ -151,6 +146,14 @@ def hyper_edge_weight(overlap_value: float, cap: int | None = None) -> int | Non
     return weight
 
 
+def _non_parallel_overlap(rays: Sequence[Ray], a: int, b: int, where: str = "") -> float:
+    """Overlap of rays a and b; parallel rays are refused, `where` ending the message."""
+    o = overlap(rays[a], rays[b])
+    if o >= 1.0 - PARALLEL_TOLERANCE:
+        raise ValidationError(f"rays p{a + 1} and p{b + 1} are parallel (overlap {o:.12g}){where}")
+    return o
+
+
 def build_from_rays(rays: Sequence[Ray], cap: int | None = None) -> HyperGraph:
     """Hyper-graph on the given rays with one weighted edge per admissible pair."""
     rays = tuple(rays)
@@ -159,12 +162,7 @@ def build_from_rays(rays: Sequence[Ray], cap: int | None = None) -> HyperGraph:
     edges = []
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            o = overlap(rays[i], rays[j])
-            if o >= 1.0 - PARALLEL_TOLERANCE:
-                raise ValidationError(
-                    f"rays p{i + 1} and p{j + 1} are parallel (overlap {o:.12g})"
-                )
-            weight = hyper_edge_weight(o, cap)
+            weight = hyper_edge_weight(_non_parallel_overlap(rays, i, j), cap)
             if weight is not None:
                 edges.append(HyperEdge(i, j, weight))
     return HyperGraph(len(rays), tuple(edges), rays)
@@ -266,6 +264,17 @@ def family_edge_pairs(spec: FamilySpec) -> list[tuple[int, int]]:
     return pairs
 
 
+def family_weights(spec: FamilySpec, edge_count: int) -> list[int]:
+    """Per-edge weights of `spec` in construction order, one per family edge."""
+    if isinstance(spec.weights, int):
+        return [spec.weights] * edge_count
+    if len(spec.weights) != edge_count:
+        raise ValidationError(
+            f"family {spec.family!r} has {edge_count} edges but {len(spec.weights)} weights were given"
+        )
+    return list(spec.weights)
+
+
 def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
     """Build a family instance.
 
@@ -280,22 +289,9 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
         rays = tuple(rays)
         if len(rays) != n:
             raise ValidationError(f"family {spec.family!r} needs {n} rays, got {len(rays)}")
-        weights = []
-        for a, b in pairs:
-            o = overlap(rays[a], rays[b])
-            if o >= 1.0 - PARALLEL_TOLERANCE:
-                raise ValidationError(
-                    f"rays p{a + 1} and p{b + 1} are parallel (overlap {o:.12g})"
-                )
-            weights.append(hyper_edge_weight(o))
-    elif isinstance(spec.weights, int):
-        weights = [spec.weights] * len(pairs)
+        weights = [hyper_edge_weight(_non_parallel_overlap(rays, a, b)) for a, b in pairs]
     else:
-        weights = list(spec.weights)
-        if len(weights) != len(pairs):
-            raise ValidationError(
-                f"family {spec.family!r} has {len(pairs)} edges but {len(weights)} weights were given"
-            )
+        weights = family_weights(spec, len(pairs))
     edges = tuple(HyperEdge(a, b, w) for (a, b), w in zip(pairs, weights))
     return HyperGraph(n, edges, rays)
 

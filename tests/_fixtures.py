@@ -3,7 +3,7 @@
 import math
 from typing import Sequence
 
-from kshg import Ray
+from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -70,3 +70,28 @@ def _gray_walk_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
         if value > best:
             best = value
     return best
+
+
+def _aux_index_restrict(
+    h: HyperGraph,
+    g: ExpandedGraph,
+    a: Assignment,
+    sub_h: HyperGraph,
+    sub_g: ExpandedGraph,
+    old_of_new: tuple[int, ...],
+) -> Assignment:
+    """Reference for `bounds._restrict_assignment`: carry an expanded
+    assignment over to the expansion of a removal subgraph vertex by vertex,
+    finding each auxiliary vertex of the original by its role through
+    `aux_index`.
+    """
+    values = []
+    for vert in sub_g.vertices:
+        if isinstance(vert, CoreVertex):
+            values.append(a.values[old_of_new[vert.index]])
+        else:
+            sub_edge = sub_h.edges[vert.edge]
+            old_pair = (old_of_new[sub_edge.i], old_of_new[sub_edge.j])
+            original_edge_id = h.edge_index[old_pair]
+            values.append(a.values[g.aux_index(original_edge_id, vert.kind, vert.level)])
+    return Assignment(tuple(values))

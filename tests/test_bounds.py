@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kshg import (
     Assignment,
@@ -27,12 +29,15 @@ from kshg import (
     mis_oracle,
     quantum_range,
     random_hypergraph,
+    remove_vertex,
     tetrahedron_rays,
     verify_realization,
     wheel7_demo_rays,
 )
 
-from _fixtures import clifton_realization, cone_rays
+from kshg.bounds import _restrict_assignment
+
+from _fixtures import _aux_index_restrict, clifton_realization, cone_rays
 
 RT3 = 1.0 / math.sqrt(3.0)
 
@@ -133,6 +138,35 @@ class TestSubgraphDecomposition:
         h = generate(FamilySpec("complete", k=3, weights=1))
         with pytest.raises(ValidationError):
             check_subgraph_decomposition(h, Assignment((0, 0, 0)))
+
+
+@st.composite
+def assigned_hypergraphs(draw):
+    """(hyper-graph, assignment of its expansion): 3-6 cores, weights 0-3."""
+    k = draw(st.integers(3, 6))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    h = HyperGraph(k, tuple(HyperEdge(i, j, w) for (i, j), p, w in zip(pairs, present, weights) if p))
+    n = k + 6 * h.weight_sum
+    bits = draw(st.integers(0, (1 << n) - 1))
+    return h, Assignment(tuple((bits >> v) & 1 for v in range(n)))
+
+
+class TestRestrictAssignment:
+    @settings(max_examples=60, deadline=None)
+    @given(case=assigned_hypergraphs())
+    def test_matches_aux_index_reference(self, case):
+        h, a = case
+        g = expand(h)
+        for removed in range(h.vertex_count):
+            sub_h, old_of_new = remove_vertex(h, removed)
+            sub_g = expand(sub_h)
+            expected = _aux_index_restrict(h, g, a, sub_h, sub_g, old_of_new)
+            assert _restrict_assignment(h, g, a, sub_g, old_of_new) == expected
+        result = check_subgraph_decomposition(h, a)
+        assert result.equal
+        assert result.lhs == (h.vertex_count - 2) * evaluate(g, a)
 
 
 class TestQuantumRange:

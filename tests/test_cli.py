@@ -326,6 +326,21 @@ class TestExitCodes:
         code, _, _ = run(capsys, "brute", str(graph))
         assert code == 1
 
+    @pytest.mark.parametrize("use_env", [False, True])
+    def test_max_bits_above_ceiling_refuses(self, capsys, tmp_path, monkeypatch, use_env):
+        graph = tmp_path / "k5.hg"
+        run(capsys, "gen", "complete", "--k", "5", "--weight", "2", "-o", str(graph))
+        if use_env:
+            monkeypatch.setenv("KSHG_MAX_BITS", "200")
+            code, out, err = run(capsys, "brute", str(graph))
+        else:
+            code, out, err = run(capsys, "brute", str(graph), "--max-bits", "200")
+        assert (code, out) == (2, "")
+        assert err == (
+            "capacity error: 125 vertices exceed the 62-bit enumeration limit; "
+            "use mis_oracle instead\n"
+        )
+
     def test_flag_beats_env(self, capsys, tmp_path, monkeypatch):
         graph = tmp_path / "l2.hg"
         run(capsys, "gen", "linear", "--k", "2", "--weight", "1", "-o", str(graph))

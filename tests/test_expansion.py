@@ -246,6 +246,18 @@ class TestBruteForceMax:
         with pytest.raises(CapacityError):
             brute_force_max(g, max_bits=7)
 
+    def test_max_bits_capped_at_62(self):
+        g = expand(generate(FamilySpec("complete", k=5, weights=2)))  # 125 vertices
+        message = "125 vertices exceed the 62-bit enumeration limit; use mis_oracle instead"
+        with pytest.raises(CapacityError) as info:
+            brute_force_max(g, max_bits=200)
+        assert str(info.value) == message
+
+    def test_ceiling_boundary(self):
+        expansion.check_enumeration_capacity(62, max_bits=200)
+        with pytest.raises(CapacityError, match="^63 vertices exceed the 62-bit"):
+            expansion.check_enumeration_capacity(63, max_bits=63)
+
     def test_matches_direct_enumeration_on_random_graphs(self):
         rng = random.Random(17)
         checked = 0
