@@ -268,10 +268,7 @@ def verify_realization(
         for a in range(3):
             for b in range(a + 1, 3):
                 d = max(d, overlap(rays[triple[a]], rays[triple[b]]))
-        total = sum(
-            (np.outer(rays[t].amplitudes, rays[t].amplitudes.conj()) for t in triple),
-            start=np.zeros((3, 3), dtype=np.complex128),
-        )
+        total = projector_sum(rays[t] for t in triple).matrix
         d = max(d, float(np.max(np.abs(total - identity))))
         if d > worst:
             worst = d
@@ -293,10 +290,9 @@ def verify_realization(
 
     worst, item = 0.0, "-"
     for frag in g.fragments:
-        total = np.zeros((3, 3), dtype=np.complex128)
-        for t in frag.vertex_indices[2:]:
-            v = rays[t].amplitudes
-            total += np.outer(v, v.conj())
+        if frag.weight == 0:
+            continue  # no auxiliary vertices: an empty sum deviates by 0
+        total = projector_sum(rays[t] for t in frag.vertex_indices[2:]).matrix
         d = float(np.max(np.abs(total - 2 * frag.weight * identity)))
         if d > worst:
             worst = d
@@ -340,7 +336,7 @@ def wheel7_demo_rays(delta: float = 0.005) -> tuple[Ray, ...]:
     rotation = (
         math.cos(delta) * np.eye(3)
         + math.sin(delta) * cross
-        + (1.0 - math.cos(delta)) * np.outer(axis, axis)
+        + (1.0 - math.cos(delta)) * (axis[:, None] * axis)
     )
     basis = tuple(Ray(rotation[:, k]) for k in range(3))
     return tetrahedron_rays() + basis

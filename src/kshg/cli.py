@@ -429,8 +429,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for _ in range(args.trials):
         k = rng.randint(3, 6)
         h = random_hypergraph(rng, k, max_weight=2)
-        g = expand(h)
-        a = Assignment(tuple(rng.randint(0, 1) for _ in g.vertices))
+        a = Assignment(tuple(rng.randint(0, 1) for _ in range(expanded_vertex_count(h))))
         result = check_subgraph_decomposition(h, a)
         if not result.equal:
             failures += 1
@@ -450,13 +449,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
-    g = expand(h)
     core_rays = parse_rays(_read(args.rays), normalize=args.normalize)
     if len(core_rays) != h.vertex_count:
         raise ValidationError(
             f"{args.rays} holds {len(core_rays)} rays but the graph has {h.vertex_count} vertices"
         )
-    aux_count = len(g.vertices) - h.vertex_count
+    aux_count = expanded_vertex_count(h) - h.vertex_count
     if aux_count:
         if args.aux is None:
             raise ValidationError(
@@ -469,7 +467,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"expected {aux_count} auxiliary rays (construction order), got {len(aux_rays)}"
         )
-    report = verify_realization(g, core_rays + aux_rays, args.tol)
+    report = verify_realization(expand(h), core_rays + aux_rays, args.tol)
     items: list[tuple[str, object]] = [
         ("command", "verify"),
         ("input", args.graph),

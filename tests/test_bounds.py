@@ -17,6 +17,7 @@ from kshg import (
     HyperGraph,
     Ray,
     ValidationError,
+    brute_force_max,
     check_subgraph_decomposition,
     classical_bound,
     classify,
@@ -26,6 +27,7 @@ from kshg import (
     family_bound,
     generate,
     hypergraph_observable_value,
+    max_independent_set,
     mis_oracle,
     quantum_range,
     random_hypergraph,
@@ -36,6 +38,7 @@ from kshg import (
 )
 
 from kshg.bounds import _restrict_assignment
+from kshg.expansion import expanded_vertex_count
 
 from _fixtures import _aux_index_restrict, clifton_realization, cone_rays
 
@@ -261,6 +264,23 @@ class TestClassify:
             assert report.classification in Classification
 
 
+@st.composite
+def small_expansions(draw):
+    """2-6 cores, weights 0-1, at most 16 expanded vertices."""
+    k = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    heavy = draw(st.lists(st.sampled_from(pairs), max_size=(16 - k) // 6, unique=True))
+    return HyperGraph(
+        k,
+        tuple(
+            HyperEdge(i, j, int((i, j) in heavy))
+            for (i, j), p in zip(pairs, present)
+            if p or (i, j) in heavy
+        ),
+    )
+
+
 class TestSoundness:
     def test_oracle_below_bound(self):
         rng = random.Random(31)
@@ -268,6 +288,14 @@ class TestSoundness:
             h = random_hypergraph(rng, rng.randint(2, 5), max_weight=2)
             g = expand(h)
             assert mis_oracle(g, max_vertices=200) <= classical_bound(h).total
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=small_expansions())
+    def test_four_oracles_agree(self, h):
+        assert expanded_vertex_count(h) <= 16
+        g = expand(h)
+        formula = 2 * h.weight_sum + max_independent_set(h, method="brute").size
+        assert classical_bound(h).total == formula == mis_oracle(g) == brute_force_max(g)
 
 
 class TestVerifyRealization:

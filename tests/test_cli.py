@@ -301,6 +301,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"capacity error: 6000002 vertices exceed {limit}\n"
 
+    def test_verify_counts_rays_before_expansion(self, capsys, tmp_path, monkeypatch):
+        graph = tmp_path / "heavy.hg"
+        graph.write_text("vertices 2\nedge 1 2 1000000\n")
+        core_file = tmp_path / "core.rays"
+        core_file.write_text(serialize_rays(clifton_realization()[:2]))
+
+        def refuse(h):
+            raise AssertionError("expand ran before the ray counts were checked")
+
+        monkeypatch.setattr("kshg.cli.expand", refuse)
+        code, out, err = run(capsys, "verify", str(graph), "--rays", str(core_file))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the expansion has 6000000 auxiliary vertices; supply their rays with --aux\n"
+        )
+
     def test_bound_on_long_path(self, capsys, tmp_path):
         graph = tmp_path / "path.hg"
         run(capsys, "gen", "linear", "--k", "2000", "--weight", "0", "-o", str(graph))

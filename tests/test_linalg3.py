@@ -145,6 +145,13 @@ class TestHermitian3:
         with pytest.raises(ValidationError):
             Hermitian3(np.eye(2))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, entry):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = m[1, 0] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            Hermitian3(m)
+
 
 class TestEigensystem:
     def test_diagonal(self):
