@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+import warnings
 from typing import Sequence
 
 from .bounds import (
@@ -44,12 +45,11 @@ from .hypergraph import (
     HyperGraph,
     build_from_rays,
     check_search_capacity,
+    family_parameters,
     generate,
     random_hypergraph,
 )
 from .linalg3 import Ray
-
-_FAMILY_CHOICES = tuple(FAMILIES)
 
 
 def parse_rays(text: str, normalize: bool = False) -> list[Ray]:
@@ -225,13 +225,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     items: list[tuple[str, object]] = [
         ("command", "gen"),
         ("family", spec.family),
-    ]
-    if spec.k is not None:
-        items.append(("k", spec.k))
-    if spec.mx is not None:
-        items.append(("mx", spec.mx))
-        items.append(("my", spec.my))
-    items += [
+        *family_parameters(spec),
         ("vertices", h.vertex_count),
         ("edges", len(h.edges)),
         ("weight_sum", h.weight_sum),
@@ -346,7 +340,11 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
             f"{args.rays} holds {len(rays)} rays but {args.graph} has {h.vertex_count} vertices"
         )
     bound_h = HyperGraph(h.vertex_count, h.edges, tuple(rays))
-    report = classify(bound_h, underweight=args.underweight, max_vertices=args.max_vertices)
+    with warnings.catch_warnings():
+        # one plain line per underweight edge, on every call
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        report = classify(bound_h, underweight=args.underweight, max_vertices=args.max_vertices)
     _emit(
         [
             ("command", "quantum"),
@@ -424,6 +422,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValidationError(f"--trials must be non-negative, got {args.trials}")
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.trials):
@@ -497,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("gen", "generate a family instance and write it to a file")
-    p.add_argument("family", choices=_FAMILY_CHOICES)
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--k", type=int, default=None, help="size parameter for 1-D families")
     p.add_argument("--mx", type=int, default=None, help="lattice width")
     p.add_argument("--my", type=int, default=None, help="lattice height")

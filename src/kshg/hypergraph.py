@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _indset
 from .errors import CapacityError, ValidationError
@@ -24,18 +24,6 @@ from .linalg3 import Ray, overlap
 PARALLEL_TOLERANCE = 1e-9
 WEIGHT_BOUNDARY_TOLERANCE = 1e-9
 DEFAULT_MIS_LIMIT = 64
-
-FAMILIES = (
-    "complete",
-    "linear",
-    "cyclic",
-    "fractal-tree",
-    "fractal-cyclic",
-    "square-lattice",
-    "torus-lattice",
-    "wheel7",
-)
-
 
 @dataclass(frozen=True, order=True)
 class HyperEdge:
@@ -104,7 +92,7 @@ class FamilySpec:
     """Parameters selecting one instance of a generated hyper-graph family.
 
     `weights` is either a uniform integer or one integer per edge in the
-    family's construction order (documented per family in `generate`).
+    family's construction order (documented in `family_edge_pairs`).
     """
 
     family: str
@@ -168,42 +156,109 @@ def build_from_rays(rays: Sequence[Ray], cap: int | None = None) -> HyperGraph:
     return HyperGraph(len(rays), tuple(edges), rays)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
+def _fractal_cyclic_pairs(k: int) -> list[tuple[int, int]]:
+    # a triangle, then a triangle on each 1-based parent p and its children 2p + 2, 2p + 3
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    for p in range(1, 3 * (2 ** (k - 1) - 1) + 1):
+        a, b = 2 * p + 1, 2 * p + 2
+        pairs += [(p - 1, a), (p - 1, b), (a, b)]
+    return pairs
+
+
+def _lattice_pairs(mx: int, my: int, wrap: bool) -> list[tuple[int, int]]:
+    # row-major sites; the torus adds the wrap-around edge of every row and column
+    x_steps = range(mx if wrap else mx - 1)
+    y_steps = range(my if wrap else my - 1)
+    pairs = [(j * mx + i, j * mx + (i + 1) % mx) for j in range(my) for i in x_steps]
+    pairs += [(j * mx + i, (j + 1) % my * mx + i) for j in y_steps for i in range(mx)]
+    return [(min(p), max(p)) for p in pairs]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The `FamilySpec` fields a family reads, their least allowed value, and its
+    vertex count, edge pairs and closed-form alpha as functions of their values."""
+
+    params: tuple[str, ...]
+    least: int
+    vertices: Callable[..., int]
+    pairs: Callable[..., list[tuple[int, int]]]
+    alpha: Callable[..., int]
+
+
+_K, _MXY = ("k",), ("mx", "my")
+_CATALOGUE = {
+    "complete": _Family(
+        _K, 2, lambda k: k,
+        lambda k: [(i, j) for i in range(k) for j in range(i + 1, k)],
+        lambda k: 1,
+    ),
+    "linear": _Family(
+        _K, 2, lambda k: k,
+        lambda k: [(i, i + 1) for i in range(k - 1)],
+        lambda k: (k + 1) // 2,
+    ),
+    "cyclic": _Family(
+        _K, 3, lambda k: k,
+        lambda k: [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)],
+        lambda k: k // 2,
+    ),
+    "fractal-tree": _Family(
+        _K, 1, lambda k: 2 ** (k + 1) - 1,
+        lambda k: [(p - 1, c) for p in range(1, 2**k) for c in (2 * p - 1, 2 * p)],
+        lambda k: (2 ** (k + 2) - 2 ** (k % 2)) // 3,  # leaves plus every second level upward
+    ),
+    "fractal-cyclic": _Family(
+        _K, 1, lambda k: 3 * (2**k - 1),
+        _fractal_cyclic_pairs,
+        lambda k: 2**k - 1,
+    ),
+    "square-lattice": _Family(
+        _MXY, 1, lambda mx, my: mx * my,
+        lambda mx, my: _lattice_pairs(mx, my, wrap=False),
+        lambda mx, my: (mx * my + 1) // 2,
+    ),
+    "torus-lattice": _Family(
+        _MXY, 3, lambda mx, my: mx * my,
+        lambda mx, my: _lattice_pairs(mx, my, wrap=True),
+        lambda mx, my: min(mx * (my // 2), my * (mx // 2)),  # each row and column is a cycle
+    ),
+    "wheel7": _Family(
+        (), 0, lambda: 7,
+        lambda: [tuple(sorted((i, (i + s) % 7))) for s in (1, 3) for i in range(7)],
+        lambda: 2,
+    ),
+}
+FAMILIES = tuple(_CATALOGUE)
+
+
+def _lookup(spec: FamilySpec) -> tuple[_Family, tuple[int, ...]]:
+    """The catalogue entry of `spec` and its parameter values, validated."""
+    f = spec.family
+    if f not in FAMILIES:
+        raise ValidationError(f"unknown family {f!r}; choose one of {', '.join(FAMILIES)}")
+    entry = _CATALOGUE[f]
+    values = tuple(getattr(spec, name) for name in entry.params)
+    if None in values:
+        missing = "parameter k" if entry.params == _K else "mx and my"
+        raise ValidationError(f"family {f!r} needs {missing}")
+    if any(v < entry.least for v in values):
+        subject = f"{f} family" if entry.params == _K else f.replace("-", " ")
+        names, got = ", ".join(entry.params), "x".join(map(str, values))
+        raise ValidationError(f"{subject} needs {names} >= {entry.least}, got {got}")
+    return entry, values
+
+
+def family_parameters(spec: FamilySpec) -> tuple[tuple[str, int], ...]:
+    """The `(name, value)` pairs of the parameters the family of `spec` reads."""
+    entry, values = _lookup(spec)
+    return tuple(zip(entry.params, values))
 
 
 def family_vertex_count(spec: FamilySpec) -> int:
     """Number of vertices of the family instance (validates parameters)."""
-    f = spec.family
-    if f not in FAMILIES:
-        raise ValidationError(f"unknown family {f!r}; choose one of {', '.join(FAMILIES)}")
-    if f in ("complete", "linear", "cyclic", "fractal-tree", "fractal-cyclic"):
-        _require(spec.k is not None, f"family {f!r} needs parameter k")
-        k = spec.k
-        if f == "complete":
-            _require(k >= 2, f"complete family needs k >= 2, got {k}")
-            return k
-        if f == "linear":
-            _require(k >= 2, f"linear family needs k >= 2, got {k}")
-            return k
-        if f == "cyclic":
-            _require(k >= 3, f"cyclic family needs k >= 3, got {k}")
-            return k
-        if f == "fractal-tree":
-            _require(k >= 1, f"fractal-tree family needs k >= 1, got {k}")
-            return 2 ** (k + 1) - 1
-        _require(k >= 1, f"fractal-cyclic family needs k >= 1, got {k}")
-        return 3 * (2**k - 1)
-    if f in ("square-lattice", "torus-lattice"):
-        _require(spec.mx is not None and spec.my is not None, f"family {f!r} needs mx and my")
-        mx, my = spec.mx, spec.my
-        if f == "square-lattice":
-            _require(mx >= 1 and my >= 1, f"square lattice needs mx, my >= 1, got {mx}x{my}")
-        else:
-            _require(mx >= 3 and my >= 3, f"torus lattice needs mx, my >= 3, got {mx}x{my}")
-        return mx * my
-    return 7  # wheel7
+    entry, values = _lookup(spec)
+    return entry.vertices(*values)
 
 
 def family_edge_pairs(spec: FamilySpec) -> list[tuple[int, int]]:
@@ -215,54 +270,14 @@ def family_edge_pairs(spec: FamilySpec) -> list[tuple[int, int]]:
     list x-direction edges row by row, then y-direction edges; wheel7 lists
     the seven ring edges, then the seven skip-3 chords.
     """
-    f = spec.family
-    n = family_vertex_count(spec)
-    k = spec.k
-    pairs: list[tuple[int, int]] = []
-    if f == "complete":
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    elif f == "linear":
-        pairs = [(i, i + 1) for i in range(n - 1)]
-    elif f == "cyclic":
-        pairs = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    elif f == "fractal-tree":
-        for parent in range(1, 2**k):  # 1-based internal nodes
-            pairs.append((parent - 1, 2 * parent - 1))
-            pairs.append((parent - 1, 2 * parent))
-    elif f == "fractal-cyclic":
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        for parent in range(1, 3 * (2 ** (k - 1) - 1) + 1):  # 1-based
-            a, b = 2 * parent + 1, 2 * parent + 2
-            pairs.append((parent - 1, a))
-            pairs.append((parent - 1, b))
-            pairs.append((a, b))
-    elif f in ("square-lattice", "torus-lattice"):
-        mx, my = spec.mx, spec.my
+    entry, values = _lookup(spec)
+    return entry.pairs(*values)
 
-        def idx(i: int, j: int) -> int:  # (i, j) 1-based lattice site, row-major
-            return (j - 1) * mx + (i - 1)
 
-        if f == "square-lattice":
-            for j in range(1, my + 1):
-                for i in range(1, mx):
-                    pairs.append((idx(i, j), idx(i + 1, j)))
-            for j in range(1, my):
-                for i in range(1, mx + 1):
-                    pairs.append((idx(i, j), idx(i, j + 1)))
-        else:
-            for j in range(1, my + 1):
-                for i in range(1, mx + 1):
-                    a, b = idx(i, j), idx(i % mx + 1, j)
-                    pairs.append((min(a, b), max(a, b)))
-            for j in range(1, my + 1):
-                for i in range(1, mx + 1):
-                    a, b = idx(i, j), idx(i, j % my + 1)
-                    pairs.append((min(a, b), max(a, b)))
-    else:  # wheel7
-        pairs = [tuple(sorted((i, (i + 1) % 7))) for i in range(7)]
-        pairs += [tuple(sorted((i, (i + 3) % 7))) for i in range(7)]
-    return pairs
-
+def closed_form_independence(spec: FamilySpec) -> int:
+    """Independence number of the family instance by closed formula."""
+    entry, values = _lookup(spec)
+    return entry.alpha(*values)
 
 def family_weights(spec: FamilySpec, edge_count: int) -> list[int]:
     """Per-edge weights of `spec` in construction order, one per family edge."""
@@ -283,8 +298,9 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
     bound to them in order and every edge weight is recomputed from the
     endpoint overlap, so the instance is realizable by construction.
     """
-    n = family_vertex_count(spec)
-    pairs = family_edge_pairs(spec)
+    entry, values = _lookup(spec)
+    n = entry.vertices(*values)
+    pairs = entry.pairs(*values)
     if rays is not None:
         rays = tuple(rays)
         if len(rays) != n:
@@ -294,28 +310,6 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
         weights = family_weights(spec, len(pairs))
     edges = tuple(HyperEdge(a, b, w) for (a, b), w in zip(pairs, weights))
     return HyperGraph(n, edges, rays)
-
-
-def closed_form_independence(spec: FamilySpec) -> int:
-    """Independence number of the family instance by closed formula."""
-    n = family_vertex_count(spec)  # validates parameters
-    f = spec.family
-    if f == "complete":
-        return 1
-    if f == "linear":
-        return (spec.k + 1) // 2
-    if f == "cyclic":
-        return spec.k // 2
-    if f == "fractal-tree":
-        # leaves plus every second level upward: (2^(k+2) - 2^(k mod 2)) / 3
-        return (2 ** (spec.k + 2) - 2 ** (spec.k % 2)) // 3
-    if f == "fractal-cyclic":
-        return 2**spec.k - 1
-    if f == "square-lattice":
-        return (n + 1) // 2
-    if f == "torus-lattice":
-        return (min(spec.mx, spec.my) // 2) * max(spec.mx, spec.my)
-    return 2  # wheel7
 
 
 def check_search_capacity(n: int, max_vertices: int) -> None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kshg import (
+    FAMILIES,
     Assignment,
     Classification,
     FamilySpec,
@@ -21,10 +22,13 @@ from kshg import (
     check_subgraph_decomposition,
     classical_bound,
     classify,
+    closed_form_independence,
     evaluate,
     expand,
     expand_hyper_edge,
     family_bound,
+    family_edge_pairs,
+    family_vertex_count,
     generate,
     hypergraph_observable_value,
     max_independent_set,
@@ -91,11 +95,35 @@ class TestFamilyBound:
         ("square-lattice", dict(mx=3, my=4)),
         ("torus-lattice", dict(mx=3, my=3)),
         ("wheel7", dict()),
+        ("torus-lattice", dict(mx=4, my=5)),
     ])
     @pytest.mark.parametrize("weight", (1, 2))
     def test_equals_exact_bound(self, family, kw, weight):
         spec = FamilySpec(family, weights=weight, **kw)
         assert family_bound(spec).total == classical_bound(generate(spec)).total
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_closed_forms_match_exact_search(self, data):
+        # every family at random in-range sizes of at most 40 core vertices
+        family = data.draw(st.sampled_from(FAMILIES))
+        if family in ("square-lattice", "torus-lattice"):
+            least = 1 if family == "square-lattice" else 3
+            mx = data.draw(st.integers(least, 40 // least))
+            kw = dict(mx=mx, my=data.draw(st.integers(least, 40 // mx)))
+        elif family == "wheel7":
+            kw = {}
+        else:
+            k_range = {"complete": (2, 40), "linear": (2, 40), "cyclic": (3, 40),
+                       "fractal-tree": (1, 4), "fractal-cyclic": (1, 3)}[family]
+            kw = dict(k=data.draw(st.integers(*k_range)))
+        m = len(family_edge_pairs(FamilySpec(family, **kw)))
+        per_edge = st.lists(st.integers(0, 2), min_size=m, max_size=m).map(tuple)
+        spec = FamilySpec(family, weights=data.draw(st.integers(0, 2) | per_edge), **kw)
+        h = generate(spec)
+        assert family_vertex_count(spec) == h.vertex_count <= 40
+        assert closed_form_independence(spec) == max_independent_set(h).size
+        assert family_bound(spec).total == classical_bound(h).total
 
 
 class TestObservableValue:

@@ -264,6 +264,44 @@ class TestReports:
         _, second, _ = run(capsys, "check", "decomposition", "--trials", "10", "--seed", "3")
         assert first == second
 
+    @pytest.mark.parametrize("argv,params", [
+        (("linear", "--k", "3", "--mx", "2"), ["k"]),
+        (("square-lattice", "--mx", "2", "--my", "2", "--k", "9"), ["mx", "my"]),
+        (("wheel7", "--k", "5"), []),
+    ])
+    def test_gen_reports_only_family_parameters(self, capsys, tmp_path, argv, params):
+        graph = str(tmp_path / "g.hg")
+        keys = ["command", "family", *params, "vertices", "edges", "weight_sum", "output"]
+        code, text_out, _ = run(capsys, "gen", *argv, "-o", graph)
+        assert code == 0
+        assert [ln.split(" = ")[0] for ln in text_out.strip().splitlines()] == keys
+        assert "None" not in text_out
+        code, json_out, _ = run(capsys, "gen", *argv, "-o", graph, "--json")
+        assert code == 0
+        payload = json.loads(json_out)
+        assert list(payload) == keys
+        assert None not in payload.values()
+
+    def test_quantum_underweight_warns_once_per_edge_every_call(self, capsys, tmp_path):
+        # both edges carry weight 0 where their overlap of 1/2 needs weight 2
+        graph = tmp_path / "path.hg"
+        graph.write_text("vertices 3\nedge 1 2 0\nedge 2 3 0\n")
+        rays = tmp_path / "path.rays"
+        rays.write_text("1 0 0 0 0 0\n1 0 1.7320508075688772 0 0 0\n0 0 1 0 1.4142135623730951 0\n")
+        argv = ("quantum", str(graph), "--rays", str(rays), "--normalize", "--underweight", "warn")
+        expected = "".join(
+            f"warning: edge ({pair}) has weight 0 but its ray overlap requires at least 2; "
+            "the model is unrealizable\n"
+            for pair in ("p1, p2", "p2, p3")
+        )
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second
+        code, out, err = first
+        assert code == 0
+        assert err == expected
+        assert "classical_bound = 2" in out
+
 
 class TestExitCodes:
     def test_validation_error_is_1(self, capsys, tmp_path):
@@ -323,6 +361,10 @@ class TestExitCodes:
         code, out, _ = run(capsys, "bound", str(graph), "--max-vertices", "5000")
         assert code == 0
         assert "classical_bound = 1000\n" in out
+
+    def test_negative_trials_is_1(self, capsys):
+        code, out, err = run(capsys, "check", "decomposition", "--trials", "-5")
+        assert (code, out, err) == (1, "", "error: --trials must be non-negative, got -5\n")
 
     def test_usage_error_is_1(self, capsys):
         code, _, _ = run(capsys, "gen", "linear", "--k", "3")  # missing -o

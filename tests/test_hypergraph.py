@@ -16,6 +16,7 @@ from kshg import (
     build_from_rays,
     closed_form_independence,
     family_edge_pairs,
+    family_parameters,
     generate,
     hyper_edge_weight,
     max_independent_set,
@@ -365,3 +366,11 @@ class TestHyperGraphValidation:
         pairs = family_edge_pairs(FamilySpec("wheel7"))
         assert pairs[:7] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6)]
         assert pairs[7:] == [(0, 3), (1, 4), (2, 5), (3, 6), (0, 4), (1, 5), (2, 6)]
+
+    @pytest.mark.parametrize("spec,params", [
+        (FamilySpec("linear", k=3, mx=2), (("k", 3),)),
+        (FamilySpec("square-lattice", k=9, mx=2, my=3), (("mx", 2), ("my", 3))),
+        (FamilySpec("wheel7", k=5), ()),
+    ])
+    def test_family_parameters_are_the_family_own(self, spec, params):
+        assert family_parameters(spec) == params
