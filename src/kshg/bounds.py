@@ -237,6 +237,8 @@ def verify_realization(
     (d) each gadget's auxiliary projectors sum to 2n times the identity
     within tol. Each check reports its worst deviation and where it occurs.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
     n = len(g.vertices)
     if isinstance(coords, Mapping):
         missing = [v for v in range(n) if v not in coords]

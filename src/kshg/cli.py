@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -188,17 +189,36 @@ def _load_graph(path: str) -> HyperGraph:
     return parse_hypergraph(_read(path))
 
 
+def _positive_int(text: str) -> int:
+    """The rule of every search and bit limit, as an argparse `type=`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """The rule of a verification tolerance, as an argparse `type=`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def _default_max_bits() -> int:
     raw = os.environ.get("KSHG_MAX_BITS")
     if raw is None:
         return DEFAULT_BIT_LIMIT
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"KSHG_MAX_BITS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError(f"KSHG_MAX_BITS must be positive, got {value}")
-    return value
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"KSHG_MAX_BITS: {exc}") from None
 
 
 def _family_spec(args: argparse.Namespace) -> FamilySpec:
@@ -517,17 +537,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bound", "classical bound of a hyper-graph (exact MIS)")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
+    p.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_bound)
 
     p = add("brute", "brute-force maximum of the expanded expression")
     p.add_argument("graph")
-    p.add_argument("--max-bits", type=int, default=None, help="override the enumeration capacity")
+    p.add_argument("--max-bits", type=_positive_int, default=None, help="override the enumeration capacity")
     p.set_defaults(handler=_cmd_brute)
 
     p = add("mis", "independence number of the expanded graph")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
+    p.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_mis)
 
     p = add("expand", "expand a hyper-graph, optionally exporting DOT")
@@ -540,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", required=True, help="rays file, one ray per vertex")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--underweight", choices=("error", "warn"), default="error")
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MIS_LIMIT)
+    p.add_argument("--max-vertices", type=_positive_int, default=DEFAULT_MIS_LIMIT)
     p.set_defaults(handler=_cmd_quantum)
 
     p = add("demo", "run the forced-contradiction demo")
@@ -558,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--rays", required=True, help="core rays, one per hyper-graph vertex")
     p.add_argument("--aux", default=None, help="auxiliary rays in construction order")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 

@@ -11,9 +11,10 @@ well. Weight 0 contributes a single plain edge.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +31,11 @@ ENUM_MAX_BITS = 62
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
+# Widest core graph that `mis_oracle` eliminates: its largest factor table
+# holds 2^(width + 1) entries. Wider graphs go to the bitmask search.
+CORE_MAX_WIDTH = 16
+# Gadget-table value of a core-state pair that no independent set allows.
+_FORBIDDEN = float("-inf")
 
 AUX_KINDS = ("p", "q", "a+", "a-", "b+", "b-")
 
@@ -334,6 +340,8 @@ def check_enumeration_capacity(
 
     The limit is `max_bits` (default `DEFAULT_BIT_LIMIT`), capped at `ENUM_MAX_BITS`.
     """
+    if max_bits is not None and max_bits < 1:
+        raise ValidationError(f"max_bits must be positive, got {max_bits}")
     limit = min(DEFAULT_BIT_LIMIT if max_bits is None else max_bits, ENUM_MAX_BITS)
     if n > limit:
         raise CapacityError(f"{n} vertices exceed the {limit}-bit enumeration limit{advice}")
@@ -355,15 +363,178 @@ def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None)
     return _block_max(n, fragment.adjacency_masks, penalty)
 
 
+def _independent(adj: Sequence[int], mask: int) -> bool:
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        if adj[v] & mask:
+            return False
+        rest &= rest - 1
+    return True
+
+
+@lru_cache(maxsize=64)
+def _gadget_table(weight: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """T[a][b]: most independent auxiliary vertices of a weight-n gadget whose
+    cores (local vertices 0 and 1) take the 0/1 states a and b.
+
+    A level transfer over the layout of `_gadget`. The state is the 0/1
+    state of the chain pair (p_level, q_level), bit 0 for p; level n is the
+    two cores, which are not counted. Each step joins the next chain pair
+    and the bridging vertices between the two levels, and checks them
+    against the layout's own edges. An infeasible pair (weight 0: both
+    cores at 1) is `_FORBIDDEN`.
+    """
+    labels, edges, _ = _gadget(weight)
+    joined = set(edges)
+    local = {label: 2 + t for t, label in enumerate(labels)}
+    chain = [(local[("p", level)], local[("q", level)]) for level in range(weight)] + [(0, 1)]
+    bridges: list[list[int]] = [[] for _ in range(weight + 1)]
+    for (kind, level), v in local.items():
+        if kind not in ("p", "q"):
+            bridges[level].append(v)
+
+    def masks(bag: Sequence[int]) -> list[int]:
+        # each member's neighbors, as a bitmask over positions in `bag`
+        return [sum(1 << b for b, u in enumerate(bag) if _pair(u, v) in joined) for v in bag]
+
+    def counted(level: int, state: int) -> int:
+        return state.bit_count() if level < weight else 0
+
+    adj = masks(chain[0])
+    best = [counted(0, s) if _independent(adj, s) else _FORBIDDEN for s in range(4)]
+    for level in range(1, weight + 1):
+        # bag bits: low chain pair 0-1, high chain pair 2-3, bridging vertices from 4
+        adj = masks((*chain[level - 1], *chain[level], *bridges[level]))
+        best = [
+            max(
+                (best[s] + counted(level, t) + b.bit_count()
+                 for s in range(4) if best[s] != _FORBIDDEN
+                 for b in range(1 << len(bridges[level]))
+                 if _independent(adj, s | t << 2 | b << 4)),
+                default=_FORBIDDEN,
+            )
+            for t in range(4)
+        ]
+    return (best[0], best[2]), (best[1], best[3])
+
+
+def _core_count(g: ExpandedGraph) -> int | None:
+    """Number of cores when `g.fragments` describe `g` exactly, else None.
+
+    Exactly means: the first k vertices are `CoreVertex(0..k-1)`, each
+    fragment joins two distinct cores (no pair twice) and owns the next
+    contiguous block of 6n vertices, every edge of its relabelled `_gadget`
+    layout is in `g.edges`, and those edges are all of `g.edges`.
+    """
+    k = len(g.vertices) - 6 * sum(f.weight for f in g.fragments)
+    if k < 0 or not all(type(v) is CoreVertex and v.index == i for i, v in enumerate(g.vertices[:k])):
+        return None
+    if len({f.endpoints for f in g.fragments}) != len(g.fragments):
+        return None
+    layouts: dict[int, list[tuple[int, int]]] = {}
+    relabelled: list[tuple[int, int]] = []
+    start = k
+    for f in g.fragments:
+        i, j = f.endpoints
+        order = (i, j, *range(start, start + 6 * f.weight))
+        if not 0 <= i < j < k or f.vertex_indices != order:
+            return None
+        if f.weight not in layouts:
+            layouts[f.weight] = _gadget(f.weight)[1]
+        relabelled += [(order[s], order[t]) for s, t in layouts[f.weight]]
+        start += 6 * f.weight
+    return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
+
+
+def _elimination_order(k: int, pairs: Iterable[tuple[int, int]]) -> list[int] | None:
+    """Min-degree elimination order of the graph on k vertices, or None when
+    eliminating would leave a vertex with more than `CORE_MAX_WIDTH` neighbors."""
+    nbrs: list[set[int]] = [set() for _ in range(k)]
+    for i, j in pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    heap = [(len(s), v) for v, s in enumerate(nbrs)]
+    heapq.heapify(heap)
+    eliminated = [False] * k
+    order = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if eliminated[v] or degree != len(nbrs[v]):
+            continue  # superseded entry
+        if degree > CORE_MAX_WIDTH:
+            return None
+        eliminated[v] = True
+        order.append(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            heapq.heappush(heap, (len(nbrs[u]), u))
+    return order
+
+
+def _core_search(k: int, fragments: Sequence[Fragment]) -> int | None:
+    """Max of sum_i x_i + sum_e T_e[x_i][x_j] over core states x, or None when
+    the core graph is wider than `CORE_MAX_WIDTH`.
+
+    Max-sum variable elimination: each factor is (scope, table), its table a
+    list indexed by the bitmask of its scope's states, and sits in the bucket
+    of its scope's earliest variable in the order. Eliminating v sums its
+    bucket and its own +1 over v and the rest of the scope, then maximises v
+    out.
+    """
+    order = _elimination_order(k, (f.endpoints for f in fragments))
+    if order is None:
+        return None
+    position = [0] * k
+    for pos, v in enumerate(order):
+        position[v] = pos
+    buckets: list[list[tuple[tuple[int, ...], list]]] = [[] for _ in range(k)]
+    for f in fragments:
+        (t00, t01), (t10, t11) = _gadget_table(f.weight)
+        i, j = f.endpoints
+        buckets[i if position[i] < position[j] else j].append((f.endpoints, [t00, t10, t01, t11]))
+    total = 0
+    for v in order:
+        bucket = buckets[v]
+        if not bucket:
+            total += 1  # nothing left to share v with: it joins the set
+            continue
+        scope = (v, *{u for s, _ in bucket for u in s if u != v})
+        combined = [0, 1] * (1 << (len(scope) - 1))
+        for s, table in bucket:
+            index = [0]
+            for u in scope:
+                step = 1 << s.index(u) if u in s else 0
+                index += [x + step for x in index]
+            combined = [c + table[x] for c, x in zip(combined, index)]
+        rest = scope[1:]
+        table = [max(a, b) for a, b in zip(combined[0::2], combined[1::2])]
+        if rest:
+            buckets[min(rest, key=position.__getitem__)].append((rest, table))
+        else:
+            total += table[0]
+    return total
+
+
 def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> int:
     """Independence number of the expanded graph; equals `brute_force_max`.
 
     Flipping one endpoint of a doubly-selected edge never decreases the
     expression, so its maximum is attained on an independent set and equals
-    the independence number.
+    the independence number. A gadget meets the rest of the graph only at
+    its two cores, so when the fragments describe `g` the search runs over
+    the core states with one `_gadget_table` per fragment. Otherwise, or
+    when the core graph is wider than `CORE_MAX_WIDTH`, the bitmask search
+    runs on the whole graph. `max_vertices` limits the expanded vertex
+    count either way.
     """
     check_search_capacity(len(g.vertices), max_vertices)
-    return _indset.independence_number(g.adjacency_masks)
+    k = _core_count(g)
+    value = None if k is None else _core_search(k, g.fragments)
+    if value is None:
+        value = _indset.independence_number(g.adjacency_masks)
+    return value
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,8 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
 
 def check_search_capacity(n: int, max_vertices: int) -> None:
     """Refuse an exact independent-set search over more than `max_vertices` vertices."""
+    if max_vertices < 1:
+        raise ValidationError(f"max_vertices must be positive, got {max_vertices}")
     if n > max_vertices:
         raise CapacityError(f"{n} vertices exceed the exact-search limit of {max_vertices}")
 

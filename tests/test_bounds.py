@@ -41,8 +41,9 @@ from kshg import (
     wheel7_demo_rays,
 )
 
+from kshg import _indset
 from kshg.bounds import _restrict_assignment
-from kshg.expansion import expanded_vertex_count
+from kshg.expansion import CORE_MAX_WIDTH, expanded_vertex_count
 
 from _fixtures import _aux_index_restrict, clifton_realization, cone_rays
 
@@ -124,6 +125,11 @@ class TestFamilyBound:
         assert family_vertex_count(spec) == h.vertex_count <= 40
         assert closed_form_independence(spec) == max_independent_set(h).size
         assert family_bound(spec).total == classical_bound(h).total
+        # A weighted complete graph wider than the core search goes to the bitmask
+        # search over its whole expansion, which cannot finish at these sizes.
+        if family != "complete" or h.vertex_count - 1 <= CORE_MAX_WIDTH or h.weight_sum == 0:
+            g = expand(h)
+            assert mis_oracle(g, max_vertices=len(g.vertices)) == family_bound(spec).total
 
 
 class TestObservableValue:
@@ -324,6 +330,7 @@ class TestSoundness:
         g = expand(h)
         formula = 2 * h.weight_sum + max_independent_set(h, method="brute").size
         assert classical_bound(h).total == formula == mis_oracle(g) == brute_force_max(g)
+        assert _indset.independence_number(g.adjacency_masks) == formula
 
 
 class TestVerifyRealization:
@@ -374,6 +381,11 @@ class TestVerifyRealization:
             verify_realization(g, {0: Ray((1, 0, 0))}, tol=1e-9)
         with pytest.raises(ValidationError):
             verify_realization(g, [Ray((1, 0, 0))], tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_refused(self, tol):
+        with pytest.raises(ValidationError, match=f"^tol must be finite and non-negative, got {tol}$"):
+            verify_realization(expand_hyper_edge(1), clifton_realization(), tol=tol)
 
     def test_mapping_coordinates_accepted(self):
         g = expand_hyper_edge(1)

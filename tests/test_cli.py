@@ -366,6 +366,37 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", "decomposition", "--trials", "-5")
         assert (code, out, err) == (1, "", "error: --trials must be non-negative, got -5\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "g.hg", "--max-vertices", "0"], "argument --max-vertices: must be positive, got 0"),
+        (["bound", "g.hg", "--max-vertices", "-5"], "argument --max-vertices: must be positive, got -5"),
+        (["mis", "g.hg", "--max-vertices", "0"], "argument --max-vertices: must be positive, got 0"),
+        (["quantum", "g.hg", "--rays", "g.rays", "--max-vertices", "0"],
+         "argument --max-vertices: must be positive, got 0"),
+        (["brute", "g.hg", "--max-bits", "0"], "argument --max-bits: must be positive, got 0"),
+        (["brute", "g.hg", "--max-bits", "-3"], "argument --max-bits: must be positive, got -3"),
+        (["verify", "g.hg", "--rays", "g.rays", "--tol", "-1"],
+         "argument --tol: must be finite and non-negative, got -1.0"),
+        (["verify", "g.hg", "--rays", "g.rays", "--tol", "nan"],
+         "argument --tol: must be finite and non-negative, got nan"),
+    ])
+    def test_bad_limit_or_tolerance_is_1(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "linear", "--k", "3", "-o", "g.hg")
+        (tmp_path / "g.rays").write_text(serialize_rays(clifton_realization()[:3]))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be positive, got 0"),
+        ("junk", "invalid int value: 'junk'"),
+    ])
+    def test_bad_env_max_bits_is_1(self, capsys, tmp_path, monkeypatch, value, message):
+        graph = tmp_path / "l2.hg"
+        run(capsys, "gen", "linear", "--k", "2", "--weight", "1", "-o", str(graph))
+        monkeypatch.setenv("KSHG_MAX_BITS", value)
+        code, out, err = run(capsys, "brute", str(graph))
+        assert (code, out, err) == (1, "", f"error: KSHG_MAX_BITS: {message}\n")
+
     def test_usage_error_is_1(self, capsys):
         code, _, _ = run(capsys, "gen", "linear", "--k", "3")  # missing -o
         assert code == 1

@@ -34,7 +34,7 @@ from kshg import (
     to_dot,
     vertex_label,
 )
-from kshg import expansion
+from kshg import _indset, expansion
 
 
 def enumerate_max(g: ExpandedGraph, subtract_cores: bool) -> int:
@@ -253,6 +253,11 @@ class TestBruteForceMax:
             brute_force_max(g, max_bits=200)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_non_positive_bit_limit_is_a_validation_error(self, limit):
+        with pytest.raises(ValidationError, match=f"^max_bits must be positive, got {limit}$"):
+            brute_force_max(expand_hyper_edge(0), max_bits=limit)
+
     def test_ceiling_boundary(self):
         expansion.check_enumeration_capacity(62, max_bits=200)
         with pytest.raises(CapacityError, match="^63 vertices exceed the 62-bit"):
@@ -361,6 +366,72 @@ class TestMisOracle:
         with pytest.raises(CapacityError):
             mis_oracle(g)
         assert mis_oracle(g, max_vertices=200) == 41  # 2*20 + 1
+
+    def test_non_positive_limit_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="^max_vertices must be positive, got 0$"):
+            mis_oracle(expand_hyper_edge(1), max_vertices=0)
+
+    @pytest.mark.parametrize("weight", range(9))
+    def test_gadget_table_matches_forced_search(self, weight):
+        g = expand_hyper_edge(weight)
+        adj = g.adjacency_masks
+        closed = [a | 1 << v for v, a in enumerate(adj)]
+        aux = (1 << len(adj)) - 4
+        table = expansion._gadget_table(weight)
+        for a, b in product((0, 1), repeat=2):
+            if a and b and adj[0] & 2:
+                expected = float("-inf")  # adjacent cores cannot both be 1
+            else:
+                free = aux & ~(closed[0] if a else 0) & ~(closed[1] if b else 0)
+                expected = _indset._alpha(adj, closed, free, {})
+            assert table[a][b] == expected
+        reference = 2 * weight - 1 if weight else float("-inf")
+        assert table == ((2 * weight, 2 * weight), (2 * weight, reference))
+
+    @pytest.mark.parametrize("spec, expected", [
+        (FamilySpec("square-lattice", mx=6, my=6), 138),
+        (FamilySpec("linear", k=400), 998),
+        (FamilySpec("fractal-tree", k=8), 1361),
+    ])
+    def test_large_family_instances(self, spec, expected):
+        g = expand(generate(spec))
+        assert mis_oracle(g, max_vertices=len(g.vertices)) == expected == family_bound(spec).total
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        calls = []
+        search = _indset.independence_number
+        monkeypatch.setattr(_indset, "independence_number", lambda adj: calls.append(len(adj)) or search(adj))
+        return calls
+
+    def test_wide_core_graph_falls_back(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        g = expand(generate(FamilySpec("complete", k=25, weights=0)))  # width 24
+        assert mis_oracle(g) == 1
+        assert calls == [25]
+        assert mis_oracle(expand(generate(FamilySpec("complete", k=4, weights=1)))) == 13
+        assert calls == [25]
+
+    def test_graph_unlike_its_fragments_falls_back(self, monkeypatch):
+        triangle = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
+        p0, q0 = triangle.aux_index(0, "p", 0), triangle.aux_index(0, "q", 0)
+        dropped = ExpandedGraph(triangle.vertices, triangle.edges - {(p0, q0)}, (), triangle.fragments)
+        # as many edges as the fragments list, one of them not theirs
+        swapped = ExpandedGraph(triangle.vertices, dropped.edges | {(0, 2)}, (), triangle.fragments)
+        path = expand(generate(FamilySpec("linear", k=3, weights=1)))
+        extra = ExpandedGraph(path.vertices, path.edges | {(0, 2)}, (), path.fragments)
+        bare = ExpandedGraph(path.vertices, path.edges, path.bases)
+        # two fragments on one pair: as many edges as listed, but (2, 3) is no fragment's
+        doubled = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(0, 1), (2, 3)}), (),
+                                (expansion.Fragment(0, (0, 1), 0, (0, 1), ()),) * 2)
+        calls = self._spy(monkeypatch)
+        assert (mis_oracle(triangle), mis_oracle(path)) == (7, 6)
+        assert calls == []
+        assert mis_oracle(dropped) == mis_oracle(swapped) == 8
+        assert mis_oracle(extra) == 5
+        assert mis_oracle(bare) == 6
+        assert mis_oracle(doubled) == 2
+        assert calls == [len(triangle.vertices)] * 2 + [len(path.vertices)] * 2 + [4]
 
 
 class TestKsPropagate:

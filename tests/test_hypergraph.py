@@ -259,6 +259,11 @@ class TestMaxIndependentSet:
             max_independent_set(h)
         assert max_independent_set(h, max_vertices=70).size == 65
 
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_non_positive_limit_is_a_validation_error(self, limit):
+        with pytest.raises(ValidationError, match=f"^max_vertices must be positive, got {limit}$"):
+            max_independent_set(HyperGraph(3), max_vertices=limit)
+
     def test_weight_zero_edges_still_block(self):
         h = HyperGraph(2, (HyperEdge(0, 1, 0),))
         assert max_independent_set(h).size == 1
