@@ -3,8 +3,7 @@
 Two engines share this module: a recursive solver with degree reductions,
 connected-component splitting and memoization, and a plain include-first
 enumeration used as an independent cross-check on small graphs. Vertex sets
-are Python ints used as bitmasks, so graphs of a few hundred vertices are
-fine.
+are Python ints used as bitmasks.
 """
 
 from __future__ import annotations
@@ -45,15 +44,30 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
-def _alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
+def _alpha(
+    adj: Sequence[int],
+    closed: Sequence[int],
+    mask: int,
+    cache: dict[int, int],
+    touched: int = -1,
+) -> int:
     """Independence number of the subgraph induced by `mask`.
 
     Vertices of degree 0 or 1 always belong to some optimum, so they are
-    peeled greedily in a loop, caching the value of every peeled mask;
-    otherwise the graph is split into connected components and the search
-    branches on a highest-degree vertex.
+    peeled greedily in a loop, lowest index first, caching the value of
+    every peeled mask; otherwise the graph is split into connected
+    components and the search branches on a highest-degree vertex.
+
+    Degrees only fall as `mask` shrinks, so a vertex needs a new degree
+    check only when a peel removes one of its neighbours. `pending` holds
+    the vertices not yet checked, and so every vertex of degree 0 or 1; it
+    is checked lowest first, so the first hit is the lowest such vertex.
+    It starts as `touched` (all of `mask` by default): a caller that knows
+    `mask` had no vertex of degree 0 or 1 before it removed some vertices
+    passes their neighbours.
     """
     peeled: list[int] = []
+    pending = touched & mask
     while True:
         if mask == 0:
             result = 0
@@ -62,35 +76,54 @@ def _alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int
         if hit is not None:
             result = hit
             break
-        branch_vertex = -1
-        branch_degree = -1
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            degree = (adj[v] & mask).bit_count()
-            if degree <= 1:
+        pending &= mask
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            neighbour = adj[bit.bit_length() - 1] & mask
+            if neighbour.bit_count() <= 1:
                 peeled.append(mask)
-                mask = mask ^ (1 << v) if degree == 0 else mask & ~closed[v]
+                mask ^= bit | neighbour
+                if neighbour:
+                    pending |= adj[neighbour.bit_length() - 1]
                 break
-            if degree > branch_degree:
-                branch_degree = degree
-                branch_vertex = v
         else:  # no vertex of degree 0 or 1 is left
             comps = _components(adj, mask)
             if len(comps) > 1:
-                result = sum(_alpha(adj, closed, comp, cache) for comp in comps)
+                result = sum(_alpha(adj, closed, comp, cache, 0) for comp in comps)
             else:
-                v = branch_vertex
-                taken = 1 + _alpha(adj, closed, mask & ~closed[v], cache)
-                skipped = _alpha(adj, closed, mask ^ (1 << v), cache)
-                result = max(taken, skipped)
+                v = _branch_vertex(adj, mask)
+                taken = mask & ~closed[v]
+                near = 0  # the vertices whose degree the taken branch lowers
+                nb = adj[v] & mask
+                while nb:
+                    near |= adj[(nb & -nb).bit_length() - 1]
+                    nb &= nb - 1
+                result = max(
+                    1 + _alpha(adj, closed, taken, cache, near),
+                    _alpha(adj, closed, mask ^ (1 << v), cache, adj[v]),
+                )
             cache[mask] = result
             break
     for m in reversed(peeled):
         result += 1
         cache[m] = result
     return result
+
+
+def _branch_vertex(adj: Sequence[int], mask: int) -> int:
+    """A highest-degree vertex of `mask`, the lowest-index one on ties."""
+    best = -1
+    best_degree = -1
+    m = mask
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        degree = (adj[v] & mask).bit_count()
+        if degree > best_degree:
+            best_degree = degree
+            best = v
+    return best
 
 
 def independence_number(adj: Sequence[int]) -> int:
@@ -102,9 +135,11 @@ def independence_number(adj: Sequence[int]) -> int:
 def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     """Exact size plus the lexicographically smallest maximum independent set.
 
-    The witness is rebuilt greedily: a vertex joins it exactly when some
-    maximum set extends the prefix through that vertex, which yields the
-    smallest witness under sorted-list comparison.
+    The witness is rebuilt greedily: the lowest remaining candidate joins it
+    exactly when some maximum set of the candidates contains it, which
+    yields the smallest witness under sorted-list comparison. A candidate of
+    degree 0 or 1 among the candidates always does, so it joins without a
+    search.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
@@ -112,16 +147,16 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     total = _alpha(adj, closed, (1 << n) - 1, cache)
     witness: list[int] = []
     candidates = (1 << n) - 1
-    for v in range(n):
-        bit = 1 << v
-        if not candidates & bit:
-            continue
-        rest = candidates & ~closed[v] & ~((bit << 1) - 1)
-        if len(witness) + 1 + _alpha(adj, closed, rest, cache) == total:
+    while candidates:
+        v = (candidates & -candidates).bit_length() - 1
+        rest = candidates & ~closed[v]
+        if (adj[v] & candidates).bit_count() <= 1 or (
+            len(witness) + 1 + _alpha(adj, closed, rest, cache) == total
+        ):
             witness.append(v)
             candidates = rest
         else:
-            candidates ^= bit
+            candidates ^= 1 << v
     return total, witness
 
 

@@ -333,14 +333,12 @@ def max_independent_set(
     to the plain enumeration engine (small graphs only); both engines must
     agree and the test suite checks that they do.
     """
+    engines = {"branch": _indset.branch_search, "brute": _indset.brute_force_search}
+    if method not in engines:
+        raise ValidationError(f"unknown search method {method!r}; use 'branch' or 'brute'")
     check_search_capacity(h.vertex_count, max_vertices)
     adj = _indset.adjacency_masks(h.vertex_count, ((e.i, e.j) for e in h.edges))
-    if method == "branch":
-        size, witness = _indset.branch_search(adj)
-    elif method == "brute":
-        size, witness = _indset.brute_force_search(adj)
-    else:
-        raise ValidationError(f"unknown search method {method!r}; use 'branch' or 'brute'")
+    size, witness = engines[method](adj)
     return IndependentSetResult(size, tuple(witness))
 
 

@@ -4,6 +4,7 @@ import math
 from typing import Sequence
 
 from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
+from kshg._indset import _components
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -70,6 +71,119 @@ def _gray_walk_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
         if value > best:
             best = value
     return best
+
+
+def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
+    """Reference for `_indset._alpha`: the same search, peel order and memo,
+    but each peel finds its vertex by a fresh scan from the lowest bit of
+    `mask` (quadratic per call on a tree labelled root-first).
+    """
+    peeled: list[int] = []
+    while True:
+        if mask == 0:
+            result = 0
+            break
+        hit = cache.get(mask)
+        if hit is not None:
+            result = hit
+            break
+        branch_vertex = -1
+        branch_degree = -1
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            degree = (adj[v] & mask).bit_count()
+            if degree <= 1:
+                peeled.append(mask)
+                mask = mask ^ (1 << v) if degree == 0 else mask & ~closed[v]
+                break
+            if degree > branch_degree:
+                branch_degree = degree
+                branch_vertex = v
+        else:  # no vertex of degree 0 or 1 is left
+            comps = _components(adj, mask)
+            if len(comps) > 1:
+                result = sum(_scan_alpha(adj, closed, comp, cache) for comp in comps)
+            else:
+                v = branch_vertex
+                taken = 1 + _scan_alpha(adj, closed, mask & ~closed[v], cache)
+                skipped = _scan_alpha(adj, closed, mask ^ (1 << v), cache)
+                result = max(taken, skipped)
+            cache[mask] = result
+            break
+    for m in reversed(peeled):
+        result += 1
+        cache[m] = result
+    return result
+
+
+def _tree_mis(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """Reference for the exact MIS of a forest, independent of `_indset`:
+    the size and the lexicographically smallest maximum set.
+
+    The size comes from the take/skip DP over the rooted forest. The witness
+    is a greedy prefix over DP values: each vertex in turn is forced into the
+    set if the DP still reaches the size, and out of it otherwise; a change
+    is recomputed along the path to its root only.
+    """
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    parent = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    order: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for w in neighbors[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    children[u].append(w)
+                    stack.append(w)
+    roots = sum(1 for u in range(n) if parent[u] < 0)
+    if len(edges) != n - roots:
+        raise ValueError("not a forest")
+    infeasible = -(n + 1)  # feasible sizes lie in 0..n, so any sum holding this is negative
+    forced: list[bool | None] = [None] * n
+    take = [0] * n
+    skip = [0] * n
+
+    def recompute(u: int) -> None:
+        take[u] = infeasible if forced[u] is False else 1 + sum(skip[c] for c in children[u])
+        skip[u] = infeasible if forced[u] is True else sum(max(take[c], skip[c]) for c in children[u])
+
+    def force(v: int, value: bool) -> int:
+        """Fix vertex v in or out; return the change of the forest's best size."""
+        forced[v] = value
+        u = v
+        while parent[u] >= 0:
+            recompute(u)
+            u = parent[u]
+        before = max(take[u], skip[u])
+        recompute(u)
+        return max(take[u], skip[u]) - before
+
+    for u in reversed(order):
+        recompute(u)
+    size = sum(max(take[u], skip[u]) for u in range(n) if parent[u] < 0)
+    best = size
+    witness = []
+    for v in range(n):
+        best += force(v, True)
+        if best == size:
+            witness.append(v)
+        else:
+            best += force(v, False)
+    return size, witness
 
 
 def _aux_index_restrict(

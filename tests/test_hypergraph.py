@@ -264,6 +264,11 @@ class TestMaxIndependentSet:
         with pytest.raises(ValidationError, match=f"^max_vertices must be positive, got {limit}$"):
             max_independent_set(HyperGraph(3), max_vertices=limit)
 
+    def test_unknown_method_is_checked_before_capacity(self):
+        h = generate(FamilySpec("linear", k=100))
+        with pytest.raises(ValidationError, match="^unknown search method 'bogus'; use 'branch' or 'brute'$"):
+            max_independent_set(h, method="bogus")
+
     def test_weight_zero_edges_still_block(self):
         h = HyperGraph(2, (HyperEdge(0, 1, 0),))
         assert max_independent_set(h).size == 1

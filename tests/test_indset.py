@@ -1,0 +1,156 @@
+"""Tests for the bitmask independent-set engine against its references: the
+include-first enumeration, the scan-peel search (same memo), and a tree DP
+for large sparse graphs."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kshg import (
+    FamilySpec,
+    HyperEdge,
+    HyperGraph,
+    classical_bound,
+    family_bound,
+    generate,
+    max_independent_set,
+)
+from kshg import _indset
+
+from _fixtures import _scan_alpha, _tree_mis
+
+
+def closed_masks(adj):
+    return [a | 1 << v for v, a in enumerate(adj)]
+
+
+def family_adjacency(spec):
+    h = generate(spec)
+    return _indset.adjacency_masks(h.vertex_count, ((e.i, e.j) for e in h.edges))
+
+
+def relabel(n, edges, labelling, rng):
+    """`identity` keeps a tree's parents before its children (leaves at high
+    indices), `reversed` puts the leaves first, `shuffled` anywhere."""
+    perm = list(range(n))
+    if labelling == "reversed":
+        perm.reverse()
+    elif labelling == "shuffled":
+        rng.shuffle(perm)
+    return [(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in edges]
+
+
+@st.composite
+def small_graphs(draw):
+    """At most 20 vertices: a random graph, a forest, or a random core with
+    pendant paths hung on it, under one of three labellings. Returns the
+    vertex count, the edges and whether the drawing is a forest."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 20))
+    shape = draw(st.sampled_from(("random", "forest", "pendant")))
+    labelling = draw(st.sampled_from(("identity", "reversed", "shuffled")))
+    core = n if shape == "random" else 0 if shape == "forest" else rng.randint(0, n)
+    density = rng.random()
+    edges = [(i, j) for j in range(core) for i in range(j) if rng.random() < density]
+    for v in range(max(core, 1), n):
+        if shape == "pendant" and v > core and rng.random() < 0.7:
+            edges.append((v - 1, v))  # extend the current path
+        elif rng.random() < 0.9:
+            edges.append((rng.randrange(v), v))  # a forest leaves some roots
+    return n, relabel(n, edges, labelling, rng), shape == "forest"
+
+
+def parent_witness_memo(alpha, adj):
+    """The memo after a top-level `alpha` call and the greedy witness loop
+    that calls it once per remaining candidate, with no shortcut."""
+    n = len(adj)
+    closed = closed_masks(adj)
+    cache = {}
+    total = alpha(adj, closed, (1 << n) - 1, cache)
+    size = 0
+    candidates = (1 << n) - 1
+    for v in range(n):
+        if candidates >> v & 1:
+            rest = candidates & ~closed[v]
+            if size + 1 + alpha(adj, closed, rest, cache) == total:
+                size += 1
+                candidates = rest
+            else:
+                candidates ^= 1 << v
+    return cache
+
+
+class TestBranchSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs())
+    def test_matches_brute_force_and_tree_reference(self, graph):
+        n, edges, forest = graph
+        adj = _indset.adjacency_masks(n, edges)
+        result = _indset.branch_search(adj)
+        assert result == _indset.brute_force_search(adj)
+        if forest:
+            assert result == _tree_mis(n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs())
+    def test_alpha_leaves_the_scan_reference_memo(self, graph):
+        adj = _indset.adjacency_masks(*graph[:2])
+        assert parent_witness_memo(_indset._alpha, adj) == parent_witness_memo(_scan_alpha, adj)
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("fractal-tree", k=7),
+        FamilySpec("fractal-tree", k=8),
+        FamilySpec("fractal-tree", k=9),
+        FamilySpec("fractal-cyclic", k=6),
+        FamilySpec("torus-lattice", mx=4, my=4),
+        FamilySpec("torus-lattice", mx=3, my=4),
+        FamilySpec("torus-lattice", mx=3, my=200),
+        FamilySpec("torus-lattice", mx=4, my=100),
+        FamilySpec("square-lattice", mx=5, my=5),
+    ])
+    def test_family_memo_matches_scan_reference(self, spec):
+        adj = family_adjacency(spec)
+        closed = closed_masks(adj)
+        full = (1 << len(adj)) - 1
+        memo, reference = {}, {}
+        assert _indset._alpha(adj, closed, full, memo) == _scan_alpha(adj, closed, full, reference)
+        assert memo == reference
+
+
+def random_tree(rng, n):
+    """Parents before children; the shape decides how deep and how leafy."""
+    shape = rng.choice(("recursive", "caterpillar", "broom"))
+    edges = []
+    for v in range(1, n):
+        if shape == "recursive":
+            parent = rng.randrange(v)
+        elif shape == "caterpillar":
+            parent = rng.randrange(max(0, v - 3), v)
+        else:
+            parent = rng.randrange(min(v, 5))
+        edges.append((parent, v))
+    return edges
+
+
+class TestLargeSparse:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_trees_match_tree_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(200, 600)
+        labelling = ("identity", "reversed", "shuffled")[seed % 3]
+        edges = relabel(n, random_tree(rng, n), labelling, rng)
+        h = HyperGraph(n, tuple(HyperEdge(i, j, 0) for i, j in sorted(edges)))
+        size, witness = _tree_mis(n, edges)
+        result = max_independent_set(h, max_vertices=n)
+        assert (result.size, result.witness) == (size, tuple(witness))
+
+    @pytest.mark.parametrize("k", (8, 9))
+    def test_fractal_tree_matches_tree_reference_and_closed_form(self, k):
+        spec = FamilySpec("fractal-tree", k=k)
+        h = generate(spec)
+        size, witness = _tree_mis(h.vertex_count, [(e.i, e.j) for e in h.edges])
+        bound = classical_bound(h, max_vertices=h.vertex_count)
+        assert (bound.independence_term, bound.witness) == (size, tuple(witness))
+        assert bound.total == family_bound(spec).total
