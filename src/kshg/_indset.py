@@ -24,23 +24,26 @@ def adjacency_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return adj
 
 
+def _component(adj: Sequence[int], mask: int, seed: int) -> int:
+    """The vertices of `mask` connected within `mask` to the vertices of `seed`."""
+    comp = frontier = seed
+    while frontier and comp != mask:
+        grown = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            grown |= adj[bit.bit_length() - 1]
+        frontier = grown & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def _components(adj: Sequence[int], mask: int) -> list[int]:
     comps = []
-    remaining = mask
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                grown |= adj[v] & remaining
-            frontier = grown & ~comp
-            comp |= frontier
+    while mask:
+        comp = _component(adj, mask, mask & -mask)
         comps.append(comp)
-        remaining &= ~comp
+        mask &= ~comp
     return comps
 
 
@@ -139,7 +142,13 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     exactly when some maximum set of the candidates contains it, which
     yields the smallest witness under sorted-list comparison. A candidate of
     degree 0 or 1 among the candidates always does, so it joins without a
-    search.
+    search. Any other candidate `v` is decided inside its connected
+    component `K` among the candidates, which holds `v`'s whole
+    neighbourhood: `v` joins exactly when `1 + alpha(K - N[v]) == alpha(K)`,
+    since every other component keeps its value either way. `alpha(K)` is
+    the size still to find when `K` is all the candidates, and one search
+    otherwise. So on a sparse graph each check searches one component, not
+    everything that is left.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
@@ -148,15 +157,20 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     witness: list[int] = []
     candidates = (1 << n) - 1
     while candidates:
-        v = (candidates & -candidates).bit_length() - 1
-        rest = candidates & ~closed[v]
-        if (adj[v] & candidates).bit_count() <= 1 or (
-            len(witness) + 1 + _alpha(adj, closed, rest, cache) == total
-        ):
-            witness.append(v)
-            candidates = rest
-        else:
-            candidates ^= 1 << v
+        bit = candidates & -candidates
+        v = bit.bit_length() - 1
+        near = closed[v] & candidates  # v and its neighbours among the candidates
+        if near.bit_count() > 2:
+            component = _component(adj, candidates, near)
+            if component == candidates:
+                best = total - len(witness)
+            else:
+                best = _alpha(adj, closed, component, cache)
+            if 1 + _alpha(adj, closed, component & ~near, cache) != best:
+                candidates ^= bit
+                continue
+        witness.append(v)
+        candidates &= ~near
     return total, witness
 
 

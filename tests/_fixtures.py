@@ -4,7 +4,7 @@ import math
 from typing import Sequence
 
 from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
-from kshg._indset import _components
+from kshg._indset import _alpha, _components
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -116,6 +116,31 @@ def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dic
         result += 1
         cache[m] = result
     return result
+
+
+def _global_witness(adj: Sequence[int]) -> tuple[int, list[int]]:
+    """Reference for `_indset.branch_search`: the same size and greedy
+    witness, but each candidate of degree 2 or more among the candidates is
+    checked by a search over all the remaining candidates, not over its own
+    component (quadratic on a tree, whose every check re-peels it).
+    """
+    n = len(adj)
+    closed = [a | (1 << v) for v, a in enumerate(adj)]
+    cache: dict[int, int] = {}
+    total = _alpha(adj, closed, (1 << n) - 1, cache)
+    witness: list[int] = []
+    candidates = (1 << n) - 1
+    while candidates:
+        v = (candidates & -candidates).bit_length() - 1
+        rest = candidates & ~closed[v]
+        if (adj[v] & candidates).bit_count() <= 1 or (
+            len(witness) + 1 + _alpha(adj, closed, rest, cache) == total
+        ):
+            witness.append(v)
+            candidates = rest
+        else:
+            candidates ^= 1 << v
+    return total, witness
 
 
 def _tree_mis(n: int, edges: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
