@@ -475,14 +475,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{args.rays} holds {len(core_rays)} rays but the graph has {h.vertex_count} vertices"
         )
     aux_count = expanded_vertex_count(h) - h.vertex_count
-    if aux_count:
-        if args.aux is None:
-            raise ValidationError(
-                f"the expansion has {aux_count} auxiliary vertices; supply their rays with --aux"
-            )
-        aux_rays = parse_rays(_read(args.aux), normalize=args.normalize)
-    else:
-        aux_rays = parse_rays(_read(args.aux), normalize=args.normalize) if args.aux else []
+    if aux_count and args.aux is None:
+        raise ValidationError(
+            f"the expansion has {aux_count} auxiliary vertices; supply their rays with --aux"
+        )
+    aux_rays = parse_rays(_read(args.aux), normalize=args.normalize) if aux_count or args.aux else []
     if len(aux_rays) != aux_count:
         raise ValidationError(
             f"expected {aux_count} auxiliary rays (construction order), got {len(aux_rays)}"

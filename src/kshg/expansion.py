@@ -363,60 +363,19 @@ def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None)
     return _block_max(n, fragment.adjacency_masks, penalty)
 
 
-def _independent(adj: Sequence[int], mask: int) -> bool:
-    rest = mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        if adj[v] & mask:
-            return False
-        rest &= rest - 1
-    return True
-
-
 @lru_cache(maxsize=64)
 def _gadget_table(weight: int) -> tuple[tuple[float, float], tuple[float, float]]:
     """T[a][b]: most independent auxiliary vertices of a weight-n gadget whose
     cores (local vertices 0 and 1) take the 0/1 states a and b.
 
-    A level transfer over the layout of `_gadget`. The state is the 0/1
-    state of the chain pair (p_level, q_level), bit 0 for p; level n is the
-    two cores, which are not counted. Each step joins the next chain pair
-    and the bridging vertices between the two levels, and checks them
-    against the layout's own edges. An infeasible pair (weight 0: both
-    cores at 1) is `_FORBIDDEN`.
+    `_max_sum` over the layout of `_gadget`, keeping the two cores: each
+    auxiliary vertex gains 1 and each layout edge forbids both its ends at
+    1. An infeasible pair (weight 0: both cores at 1) is `_FORBIDDEN`.
     """
     labels, edges, _ = _gadget(weight)
-    joined = set(edges)
-    local = {label: 2 + t for t, label in enumerate(labels)}
-    chain = [(local[("p", level)], local[("q", level)]) for level in range(weight)] + [(0, 1)]
-    bridges: list[list[int]] = [[] for _ in range(weight + 1)]
-    for (kind, level), v in local.items():
-        if kind not in ("p", "q"):
-            bridges[level].append(v)
-
-    def masks(bag: Sequence[int]) -> list[int]:
-        # each member's neighbors, as a bitmask over positions in `bag`
-        return [sum(1 << b for b, u in enumerate(bag) if _pair(u, v) in joined) for v in bag]
-
-    def counted(level: int, state: int) -> int:
-        return state.bit_count() if level < weight else 0
-
-    adj = masks(chain[0])
-    best = [counted(0, s) if _independent(adj, s) else _FORBIDDEN for s in range(4)]
-    for level in range(1, weight + 1):
-        # bag bits: low chain pair 0-1, high chain pair 2-3, bridging vertices from 4
-        adj = masks((*chain[level - 1], *chain[level], *bridges[level]))
-        best = [
-            max(
-                (best[s] + counted(level, t) + b.bit_count()
-                 for s in range(4) if best[s] != _FORBIDDEN
-                 for b in range(1 << len(bridges[level]))
-                 if _independent(adj, s | t << 2 | b << 4)),
-                default=_FORBIDDEN,
-            )
-            for t in range(4)
-        ]
-    return (best[0], best[2]), (best[1], best[3])
+    blocked = [0, 0, 0, _FORBIDDEN]
+    t = _max_sum([0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges], kept=2)
+    return (t[0], t[2]), (t[1], t[3])
 
 
 def _core_count(g: ExpandedGraph) -> int | None:
@@ -447,21 +406,22 @@ def _core_count(g: ExpandedGraph) -> int | None:
     return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
 
 
-def _elimination_order(k: int, pairs: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Min-degree elimination order of the graph on k vertices, or None when
-    eliminating would leave a vertex with more than `CORE_MAX_WIDTH` neighbors."""
-    nbrs: list[set[int]] = [set() for _ in range(k)]
+def _elimination_order(n: int, pairs: Iterable[tuple[int, int]], kept: int = 0) -> list[int] | None:
+    """Min-degree elimination order of the graph on n vertices, skipping the
+    first `kept`, or None when eliminating would leave a vertex with more
+    than `CORE_MAX_WIDTH` neighbors."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     for i, j in pairs:
         nbrs[i].add(j)
         nbrs[j].add(i)
     heap = [(len(s), v) for v, s in enumerate(nbrs)]
     heapq.heapify(heap)
-    eliminated = [False] * k
+    eliminated = [v < kept for v in range(n)]
     order = []
     while heap:
         degree, v = heapq.heappop(heap)
         if eliminated[v] or degree != len(nbrs[v]):
-            continue  # superseded entry
+            continue  # kept vertex or superseded entry
         if degree > CORE_MAX_WIDTH:
             return None
         eliminated[v] = True
@@ -473,48 +433,55 @@ def _elimination_order(k: int, pairs: Iterable[tuple[int, int]]) -> list[int] | 
     return order
 
 
-def _core_search(k: int, fragments: Sequence[Fragment]) -> int | None:
-    """Max of sum_i x_i + sum_e T_e[x_i][x_j] over core states x, or None when
-    the core graph is wider than `CORE_MAX_WIDTH`.
+def _join(scope: tuple[int, ...], combined: list, bucket: list) -> list:
+    """`combined`, a table over `scope`, plus every (scope, table) factor of `bucket`."""
+    for s, table in bucket:
+        index = [0]
+        for u in scope:
+            step = 1 << s.index(u) if u in s else 0
+            index += [x + step for x in index]
+        combined = [c + table[x] for c, x in zip(combined, index)]
+    return combined
+
+
+def _max_sum(
+    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]], kept: int = 0
+) -> list | None:
+    """Max of sum_v gain[v] x_v plus the pair factors over 0/1 states x, as a
+    table over the states of the first `kept` variables (bit v for variable
+    v), or None when the factor graph is wider than `CORE_MAX_WIDTH`.
 
     Max-sum variable elimination: each factor is (scope, table), its table a
     list indexed by the bitmask of its scope's states, and sits in the bucket
-    of its scope's earliest variable in the order. Eliminating v sums its
-    bucket and its own +1 over v and the rest of the scope, then maximises v
-    out.
+    of its scope's earliest variable in the order; the kept variables come
+    after every other, so a factor wholly inside them waits until the end.
+    Eliminating v sums its bucket and its own gain over v and the rest of
+    the scope, then maximises v out.
     """
-    order = _elimination_order(k, (f.endpoints for f in fragments))
+    n = len(gain)
+    order = _elimination_order(n, (s for s, _ in factors), kept)
     if order is None:
         return None
-    position = [0] * k
+    position = [n] * n
     for pos, v in enumerate(order):
         position[v] = pos
-    buckets: list[list[tuple[tuple[int, ...], list]]] = [[] for _ in range(k)]
-    for f in fragments:
-        (t00, t01), (t10, t11) = _gadget_table(f.weight)
-        i, j = f.endpoints
-        buckets[i if position[i] < position[j] else j].append((f.endpoints, [t00, t10, t01, t11]))
+    buckets: list[list[tuple[tuple[int, ...], list]]] = [[] for _ in range(n)]
+    for scope, table in factors:
+        buckets[min(scope, key=position.__getitem__)].append((scope, table))
     total = 0
     for v in order:
-        bucket = buckets[v]
-        if not bucket:
-            total += 1  # nothing left to share v with: it joins the set
-            continue
-        scope = (v, *{u for s, _ in bucket for u in s if u != v})
-        combined = [0, 1] * (1 << (len(scope) - 1))
-        for s, table in bucket:
-            index = [0]
-            for u in scope:
-                step = 1 << s.index(u) if u in s else 0
-                index += [x + step for x in index]
-            combined = [c + table[x] for c, x in zip(combined, index)]
+        scope = (v, *{u for s, _ in buckets[v] for u in s if u != v})
+        combined = _join(scope, [0, gain[v]] * (1 << (len(scope) - 1)), buckets[v])
         rest = scope[1:]
         table = [max(a, b) for a, b in zip(combined[0::2], combined[1::2])]
         if rest:
             buckets[min(rest, key=position.__getitem__)].append((rest, table))
         else:
             total += table[0]
-    return total
+    start = [total]
+    for v in range(kept):
+        start += [x + gain[v] for x in start]
+    return _join(tuple(range(kept)), start, [f for v in range(kept) for f in buckets[v]])
 
 
 def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> int:
@@ -531,10 +498,15 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     """
     check_search_capacity(len(g.vertices), max_vertices)
     k = _core_count(g)
-    value = None if k is None else _core_search(k, g.fragments)
-    if value is None:
-        value = _indset.independence_number(g.adjacency_masks)
-    return value
+    if k is not None:
+        factors = []
+        for f in g.fragments:
+            (t00, t01), (t10, t11) = _gadget_table(f.weight)
+            factors.append((f.endpoints, [t00, t10, t01, t11]))
+        table = _max_sum([1] * k, factors)
+        if table is not None:
+            return table[0]
+    return _indset.independence_number(g.adjacency_masks)
 
 
 @dataclass(frozen=True)

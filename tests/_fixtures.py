@@ -1,6 +1,7 @@
 """Hand-checked coordinate fixtures and reference oracles shared across test modules."""
 
 import math
+from itertools import product
 from typing import Sequence
 
 from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
@@ -71,6 +72,22 @@ def _gray_walk_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
         if value > best:
             best = value
     return best
+
+
+def _max_sum_reference(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]],
+                       kept: int = 0) -> list:
+    """Reference for `expansion._max_sum`: for each state of the first `kept`
+    variables (bit v for variable v), the best sum of the selected gains and
+    every pair factor (indexed x_i + 2 x_j for scope (i, j)), by enumerating
+    all 2^n states.
+    """
+    table = [float("-inf")] * (1 << kept)
+    for x in product((0, 1), repeat=len(gain)):
+        value = sum(g for g, selected in zip(gain, x) if selected)
+        value += sum(t[x[i] + 2 * x[j]] for (i, j), t in factors)
+        key = sum(x[v] << v for v in range(kept))
+        table[key] = max(table[key], value)
+    return table
 
 
 def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:

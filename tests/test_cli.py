@@ -1,14 +1,20 @@
 """CLI tests: file formats, subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _fixtures import clifton_realization
 
-from kshg import HyperEdge, ValidationError, random_hypergraph
+from kshg import FAMILIES, HyperEdge, ValidationError, random_hypergraph
 from kshg.cli import main, parse_hypergraph, parse_rays, serialize_hypergraph, serialize_rays
 
 RT3 = 1.0 / math.sqrt(3.0)
@@ -458,3 +464,98 @@ class TestExitCodes:
         code, _, err = run(capsys, "quantum", str(graph), "--rays", str(rays))
         assert code == 1
         assert "7 vertices" in err
+
+
+_JUNK_HG = [
+    "", "# note", "vertices 0", "vertices 3", "edge 1 2", "edge 1 x 1", "edge 1 1 1", "edge 1 9 1",
+    "edge 1 2 -1", "vertices two", "loop 1 2 3",
+]
+_RAYS = [
+    "1 0 0 0 0 0", "0 0 1 0 0 0", "0 0 0 0 0 1", "0.7071067811865476 0 0.7071067811865476 0 0 0",
+    "0.5773502691896258 0 -0.5773502691896258 0 0 0.5773502691896258",
+]
+_JUNK_RAYS = ["", "2 0 0 0 0 0", "1 0 0", "1 0 x 0 0 0", "nan 0 0 0 0 0", "inf 0 0 0 0 0", "0 0 0 0 0 0"]
+_LIMITS = ["1", "40", "64", "500", "0", "x"]
+# Per subcommand: the positional choices, then (option, values, always) triples, where
+# values None is a flag. Options marked always are on every command line: brute's
+# --max-bits and check's --trials keep every run to milliseconds.
+_COMMANDS = {
+    "gen": ([*FAMILIES, "bogus"], [
+        ("--k", ["1", "2", "3", "5", "-1", "x"], False), ("--mx", ["1", "3", "0"], False),
+        ("--my", ["2", "3", "0"], False), ("--weight", ["0", "1", "2", "-1"], False),
+        ("--weights", ["1", "0,1", "2,1,0", "1,x", "", "-1,2"], False),
+        ("--delta", ["0.005", "0", "0.3", "-1", "nan", "x"], False),
+        ("--rays-out", ["@out.rays"], False), ("-o", ["@out.hg"], True)]),
+    "weights": (["@g.rays"], [("--cap", ["0", "1", "3", "-1", "x"], False), ("--normalize", None, False),
+                             ("-o", ["@out.hg"], True)]),
+    "bound": (["@g.hg"], [("--max-vertices", _LIMITS, False)]),
+    "brute": (["@g.hg"], [("--max-bits", ["12", "20", "1", "0", "x"], True)]),
+    "mis": (["@g.hg"], [("--max-vertices", _LIMITS, False)]),
+    "expand": (["@g.hg"], [("--dot", ["@out.dot"], False)]),
+    "quantum": (["@g.hg"], [("--rays", ["@g.rays"], True), ("--normalize", None, False),
+                            ("--underweight", ["error", "warn", "bogus"], False),
+                            ("--max-vertices", _LIMITS, False)]),
+    "demo": (["clifton", "other"], [("--n", ["1", "2", "3", "0", "x"], False)]),
+    "check": (["decomposition", "other"], [("--trials", ["0", "2", "-1", "x"], True),
+                                          ("--seed", ["0", "7", "x"], False)]),
+    "verify": (["@g.hg"], [("--rays", ["@g.rays"], True),
+                           ("--aux", ["@aux.rays", "", "@missing.rays"], False),
+                           ("--tol", ["1e-9", "0.5", "0", "-1", "nan", "x"], False),
+                           ("--normalize", None, False)]),
+}
+
+
+def command_line(rng: random.Random, command: str) -> tuple[list[str], dict[str, str]]:
+    """`command` with random options and small work files, mostly valid, some
+    with one junk line; '@name' stands for a file in the work directory."""
+    positionals, options = _COMMANDS[command]
+    argv = [command, rng.choice(positionals)]
+    for option, values, always in options:
+        if always or rng.random() < 0.5:
+            argv += [option] if values is None else [option, rng.choice(values)]
+    if rng.random() < 0.5:
+        argv.append("--json")
+
+    def lines(pool: list[str], count: int, junk: list[str]) -> str:
+        out = [rng.choice(pool) for _ in range(count)]
+        if rng.random() < 0.25:
+            out.insert(rng.randint(0, count), rng.choice(junk))
+        return "\n".join(out) + "\n"
+
+    k = rng.randint(1, 5)
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    weights = {pair: rng.randint(0, 2) for pair in rng.sample(pairs, min(rng.randint(0, 4), len(pairs)))}
+    edges = "".join(f"edge {i} {j} {w}\n" for (i, j), w in weights.items())
+    files = {
+        "g.hg": lines([f"vertices {k}"], 1, _JUNK_HG) + edges,
+        "g.rays": lines(_RAYS, rng.choice([k, k, k, 2]), _JUNK_RAYS),
+        "aux.rays": lines(_RAYS, rng.choice([6 * sum(weights.values()), 1]), _JUNK_RAYS),
+    }
+    return argv, files
+
+
+class TestFuzz:
+    # Uniform choices from a seeded generator: hypothesis's own draws favour the
+    # ends of each list, which left some error paths of a subcommand unvisited.
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @settings(max_examples=100, deadline=None)
+    @given(rng=st.randoms(use_true_random=True))
+    def test_exit_contract(self, command, rng):
+        argv, files = command_line(rng, command)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as work:
+            for name, text in files.items():
+                with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [os.path.join(work, a[1:]) if a.startswith("@") else a for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        if code and lines:
+            prefix = "error: " if code == 1 else "capacity error: "
+            assert lines[-1].startswith(prefix)
+            assert sum(line.startswith(("error: ", "capacity error: ")) for line in lines) == 1
+        elif code:  # a failed verification reports itself and exits 1 with a quiet stderr
+            assert (code, argv[0]) == (1, "verify")
+            assert out.getvalue().endswith(("overall = fail\n", '"overall": "fail"\n}\n'))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import _gray_walk_max
+from _fixtures import _gray_walk_max, _max_sum_reference
 
 from kshg import (
     Assignment,
@@ -336,6 +336,31 @@ class TestBlockEnumeration:
         assert brute_force_max(g) == family_bound(spec).total == 10
 
 
+@st.composite
+def max_sum_problems(draw):
+    n = draw(st.integers(0, 10))
+    gain = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    factors = []
+    if n >= 2:
+        scope = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+        table = st.lists(st.integers(-2, 2) | st.just(expansion._FORBIDDEN), min_size=4, max_size=4)
+        factors = draw(st.lists(st.tuples(scope, table), max_size=2 * n))
+    return gain, factors, draw(st.integers(0, min(2, n)))
+
+
+class TestMaxSum:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=max_sum_problems())
+    def test_matches_enumeration(self, problem):
+        gain, factors, kept = problem
+        assert expansion._max_sum(gain, factors, kept) == _max_sum_reference(gain, factors, kept)
+
+    def test_complete_graph_is_too_wide(self):
+        blocked = [0, 0, 0, expansion._FORBIDDEN]
+        pairs = [((i, j), blocked) for i in range(18) for j in range(i + 1, 18)]
+        assert expansion._max_sum([1] * 18, pairs) is None
+
+
 class TestMisOracle:
     def test_clifton(self):
         assert mis_oracle(expand_hyper_edge(1)) == 3
@@ -387,6 +412,10 @@ class TestMisOracle:
             assert table[a][b] == expected
         reference = 2 * weight - 1 if weight else float("-inf")
         assert table == ((2 * weight, 2 * weight), (2 * weight, reference))
+
+    @pytest.mark.parametrize("weight", (9, 16, 64, 200))
+    def test_gadget_table_of_heavy_weights(self, weight):
+        assert expansion._gadget_table(weight) == ((2 * weight, 2 * weight), (2 * weight, 2 * weight - 1))
 
     @pytest.mark.parametrize("spec, expected", [
         (FamilySpec("square-lattice", mx=6, my=6), 138),
