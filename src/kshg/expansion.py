@@ -189,18 +189,22 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+# Layouts kept for reuse: a weight-n layout holds about 1.4 KB per unit of
+# weight, so the cache retains at most 16 layouts of the weights last used.
+@lru_cache(maxsize=16)
 def _gadget(
     weight: int,
-) -> tuple[list[tuple[str, int]], list[tuple[int, int]], list[tuple[int, int, int]]]:
+) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
     """Local layout of a weight-n gadget: auxiliary labels, edges and bases.
 
     The endpoint cores are local vertices 0 and 1, and auxiliary vertex t is
     local vertex 2 + t in construction order: p chain levels 0..n-1, q chain
     levels 0..n-1, then per level 1..n the bridging four (a+, a-, b+, b-).
     Every edge pair and basis triple is listed in increasing local order.
+    The layout is cached and shared, so it is made of tuples only.
     """
     if weight == 0:
-        return [], [(0, 1)], []
+        return (), ((0, 1),), ()
     labels = [("p", level) for level in range(weight)]
     labels += [("q", level) for level in range(weight)]
     labels += [(kind, level) for level in range(1, weight + 1) for kind in AUX_KINDS[2:]]
@@ -219,7 +223,7 @@ def _gadget(
             (p_high, ap), (p_high, am), (q_high, bp), (q_high, bm),
         ]
         bases += [(p_low, ap, bp), (q_low, am, bm)]
-    return labels, edges, bases
+    return tuple(labels), tuple(edges), tuple(bases)
 
 
 def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]) -> ExpandedGraph:
@@ -391,7 +395,6 @@ def _core_count(g: ExpandedGraph) -> int | None:
         return None
     if len({f.endpoints for f in g.fragments}) != len(g.fragments):
         return None
-    layouts: dict[int, list[tuple[int, int]]] = {}
     relabelled: list[tuple[int, int]] = []
     start = k
     for f in g.fragments:
@@ -399,9 +402,7 @@ def _core_count(g: ExpandedGraph) -> int | None:
         order = (i, j, *range(start, start + 6 * f.weight))
         if not 0 <= i < j < k or f.vertex_indices != order:
             return None
-        if f.weight not in layouts:
-            layouts[f.weight] = _gadget(f.weight)[1]
-        relabelled += [(order[s], order[t]) for s, t in layouts[f.weight]]
+        relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
         start += 6 * f.weight
     return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
 

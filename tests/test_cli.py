@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from _fixtures import clifton_realization
 
-from kshg import FAMILIES, HyperEdge, ValidationError, random_hypergraph
+from kshg import FAMILIES, HyperEdge, ValidationError, cli, random_hypergraph
 from kshg.cli import main, parse_hypergraph, parse_rays, serialize_hypergraph, serialize_rays
 
 RT3 = 1.0 / math.sqrt(3.0)
@@ -464,6 +464,52 @@ class TestExitCodes:
         code, _, err = run(capsys, "quantum", str(graph), "--rays", str(rays))
         assert code == 1
         assert "7 vertices" in err
+
+
+class TestRepeatedCalls:
+    """`main` reuses one parser per process; no call may leave state for the next."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_each_call_answers_like_the_first_of_its_kind(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "gen", "linear", "--k", "2", "--weight", "1", "-o", "g.hg")
+        cli._parser.cache_clear()
+
+        def bits(value):
+            def call():
+                monkeypatch.setenv("KSHG_MAX_BITS", value)
+                return run(capsys, "brute", "g.hg")
+            return call
+
+        def helped():
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        kinds = {
+            "usage error": lambda: run(capsys, "bound", "g.hg", "--max-vertices", "0"),
+            "bound": lambda: run(capsys, "bound", "g.hg"),
+            "bound json": lambda: run(capsys, "bound", "g.hg", "--json"),
+            "brute at 4 bits": bits("4"),
+            "brute at 12 bits": bits("12"),
+            "help": helped,
+        }
+        first = {}
+        for kind in [*kinds, *kinds, *reversed(kinds)]:
+            result = kinds[kind]()
+            assert first.setdefault(kind, result) == result, kind
+        assert cli._parser.cache_info().misses == 1
+        assert first["usage error"] == (1, "", "error: argument --max-vertices: must be positive, got 0\n")
+        assert first["bound"][0] == 0 and first["bound"][1].startswith("command = bound\n")
+        assert json.loads(first["bound json"][1])["classical_bound"] == 3
+        assert first["brute at 4 bits"] == (
+            2, "", "capacity error: 8 vertices exceed the 4-bit enumeration limit; use mis_oracle instead\n"
+        )
+        assert first["brute at 12 bits"][0] == 0 and "brute_force_max = 3\n" in first["brute at 12 bits"][1]
+        assert first["help"][0] == 0 and first["help"][1].startswith("usage: kshg")
 
 
 _JUNK_HG = [

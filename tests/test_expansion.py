@@ -21,6 +21,7 @@ from kshg import (
     HyperGraph,
     ValidationError,
     brute_force_max,
+    check_subgraph_decomposition,
     evaluate,
     evaluate_edge_observable,
     expand,
@@ -116,6 +117,32 @@ class TestGadgetStructure:
         big_bases = set(big.bases)
         for triple in small.bases:
             assert tuple(sorted(embed(t) for t in triple)) in big_bases
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_cached_layout_is_a_fresh_layout_of_tuples(self, n):
+        def only_tuples(x):
+            return isinstance(x, (int, str)) or (isinstance(x, tuple) and all(map(only_tuples, x)))
+
+        layout = expansion._gadget(n)
+        assert layout is expansion._gadget(n)
+        assert layout == expansion._gadget.__wrapped__(n)
+        assert only_tuples(layout)
+
+    def test_results_do_not_depend_on_cached_layouts(self):
+        rng = random.Random(10)
+        cases = []
+        for _ in range(8):
+            h = random_hypergraph(rng, rng.randint(3, 6), max_weight=3)
+            values = tuple(rng.randint(0, 1) for _ in range(expansion.expanded_vertex_count(h)))
+            cases.append((h, Assignment(values)))
+
+        def results():
+            return [(g.vertices, g.edges, g.bases, g.fragments, check_subgraph_decomposition(h, a))
+                    for h, a in cases for g in [expand(h)]]
+
+        warm = results()
+        expansion._gadget.cache_clear()
+        assert results() == warm
 
 
 class TestExpand:
