@@ -15,7 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,9 +31,12 @@ ENUM_MAX_BITS = 62
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
-# Widest core graph that `mis_oracle` eliminates: its largest factor table
-# holds 2^(width + 1) entries. Wider graphs go to the bitmask search.
+# Widest graph that `_max_sum` eliminates: its largest factor table holds
+# 2^(width + 1) entries. `mis_oracle` conditions wider graphs down to it.
 CORE_MAX_WIDTH = 16
+# Most subproblems holding a factor that `mis_oracle` conditions a wide graph
+# into; each may take a second (complete k=21 w=1 needs all 16, in 7 s).
+MAX_CONDITIONED_SUBPROBLEMS = 16
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
 
@@ -485,6 +488,73 @@ def _max_sum(
     return _join(tuple(range(kept)), start, [f for v in range(kept) for f in buckets[v]])
 
 
+def _fix(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]], const: int,
+         fixed: set[int], x: int) -> tuple[list[int], list[tuple[tuple[int, int], list]], int]:
+    """The problem with every variable in `fixed` fixed at x, as (gain, factors, const).
+
+    Each factor on a fixed variable becomes a gain on its other variable,
+    plus a constant; the fixed variables keep gain 0 and no factor. Only a
+    table's (1, 1) entry may be `_FORBIDDEN`, so a variable goes to 1 only
+    once each neighbour it forbids is at 0.
+    """
+    gain = list(gain)
+    for v in fixed:
+        const += gain[v] * x
+        gain[v] = 0
+    rest = []
+    for (i, j), table in factors:  # table index x_i + 2 x_j
+        if i in fixed and j in fixed:
+            const += table[3 * x]
+        elif i in fixed:
+            const += table[x]
+            gain[j] += table[x + 2] - table[x]
+        elif j in fixed:
+            const += table[2 * x]
+            gain[i] += table[2 * x + 1] - table[2 * x]
+        else:
+            rest.append(((i, j), table))
+    return gain, rest, const
+
+
+def _conditioned(
+    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]]
+) -> Iterator[tuple[list[int], list[tuple[tuple[int, int], list]], int]]:
+    """(gain, factors, const) subproblems that `_max_sum` can eliminate; the
+    problem's best is the max over them of const plus their own best.
+
+    Cutset conditioning: a problem too wide to eliminate splits on its
+    variable v with the most factors, fixed at 0 and at 1; at 1, each
+    neighbour that v forbids is fixed at 0 too. A pending problem with a
+    factor yields at least one subproblem with a factor (a too-wide problem
+    has one off v), so the split raises `CapacityError` as soon as pending
+    and yielded problems with a factor number more than
+    `MAX_CONDITIONED_SUBPROBLEMS`.
+    """
+    stack = [(gain, factors, 0)]
+    held = 1  # problems with a factor, pending or yielded
+    while stack:
+        problem = stack.pop()
+        gain, factors, const = problem
+        if _elimination_order(len(gain), (s for s, _ in factors)) is not None:
+            yield problem
+            continue
+        count = [0] * len(gain)
+        for scope, _ in factors:
+            for u in scope:
+                count[u] += 1
+        v = count.index(max(count))
+        forbidden = {u for scope, table in factors if v in scope and table[3] == _FORBIDDEN for u in scope}
+        forbidden.discard(v)
+        children = [_fix(*_fix(*problem, forbidden, 0), {v}, 1), _fix(*problem, {v}, 0)]
+        held += sum(1 for _, f, _ in children if f) - 1
+        if held > MAX_CONDITIONED_SUBPROBLEMS:
+            raise CapacityError(
+                f"conditioning the elimination down to width {CORE_MAX_WIDTH} needs more "
+                f"than {MAX_CONDITIONED_SUBPROBLEMS} subproblems"
+            )
+        stack += children
+
+
 def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> int:
     """Independence number of the expanded graph; equals `brute_force_max`.
 
@@ -492,22 +562,29 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     expression, so its maximum is attained on an independent set and equals
     the independence number. A gadget meets the rest of the graph only at
     its two cores, so when the fragments describe `g` the search runs over
-    the core states with one `_gadget_table` per fragment. Otherwise, or
-    when the core graph is wider than `CORE_MAX_WIDTH`, the bitmask search
-    runs on the whole graph. `max_vertices` limits the expanded vertex
-    count either way.
+    the core states with one `_gadget_table` per fragment. Otherwise every
+    vertex is a core and every edge a weight-0 gadget. Either problem goes
+    to `_max_sum`; one wider than `CORE_MAX_WIDTH` is split by
+    `_conditioned` into at most `MAX_CONDITIONED_SUBPROBLEMS` that hold a
+    factor, or refused with `CapacityError` before any table is built.
+    `max_vertices` limits the expanded vertex count either way.
     """
     check_search_capacity(len(g.vertices), max_vertices)
     k = _core_count(g)
-    if k is not None:
-        factors = []
+    if k is None:
+        (t00, t01), (t10, t11) = _gadget_table(0)
+        blocked = [t00, t10, t01, t11]
+        gain, factors = [1] * len(g.vertices), [(pair, blocked) for pair in g.sorted_edges]
+    else:
+        gain, factors = [1] * k, []
         for f in g.fragments:
             (t00, t01), (t10, t11) = _gadget_table(f.weight)
             factors.append((f.endpoints, [t00, t10, t01, t11]))
-        table = _max_sum([1] * k, factors)
-        if table is not None:
-            return table[0]
-    return _indset.independence_number(g.adjacency_masks)
+    table = _max_sum(gain, factors)
+    if table is not None:
+        return table[0]
+    subproblems = list(_conditioned(gain, factors))  # every split before any table
+    return max(const + _max_sum(part_gain, part)[0] for part_gain, part, const in subproblems)
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,8 @@ class TestFamilyBound:
         assert family_vertex_count(spec) == h.vertex_count <= 40
         assert closed_form_independence(spec) == max_independent_set(h).size
         assert family_bound(spec).total == classical_bound(h).total
-        # A weighted complete graph wider than the core search goes to the bitmask
-        # search over its whole expansion, which cannot finish at these sizes.
+        # A weighted complete graph wider than the core elimination is split by
+        # conditioning: such a draw costs seconds (k <= 21) or is refused.
         if family != "complete" or h.vertex_count - 1 <= CORE_MAX_WIDTH or h.weight_sum == 0:
             g = expand(h)
             assert mis_oracle(g, max_vertices=len(g.vertices)) == family_bound(spec).total

@@ -375,6 +375,20 @@ def max_sum_problems(draw):
     return gain, factors, draw(st.integers(0, min(2, n)))
 
 
+@st.composite
+def conditioned_problems(draw):
+    # at most 8 variables, every table finite except possibly its (1, 1) entry
+    n = draw(st.integers(1, 8))
+    gain = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    factors = []
+    if n >= 2:
+        scope = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+        entry = st.integers(-2, 2)
+        table = st.tuples(entry, entry, entry, entry | st.just(expansion._FORBIDDEN)).map(list)
+        factors = draw(st.lists(st.tuples(scope, table), min_size=n, max_size=3 * n))
+    return gain, factors
+
+
 class TestMaxSum:
     @settings(max_examples=200, deadline=None)
     @given(problem=max_sum_problems())
@@ -455,18 +469,31 @@ class TestMisOracle:
 
     @staticmethod
     def _spy(monkeypatch) -> list:
+        """Record every `_indset` search that runs; `mis_oracle` must make none."""
         calls = []
-        search = _indset.independence_number
-        monkeypatch.setattr(_indset, "independence_number", lambda adj: calls.append(len(adj)) or search(adj))
+        for name in ("independence_number", "branch_search", "brute_force_search", "_alpha"):
+            search = getattr(_indset, name)
+            monkeypatch.setattr(_indset, name, lambda *args, name=name, search=search:
+                                calls.append(name) or search(*args))
+        return calls
+
+    @staticmethod
+    def _spy_conditioning(monkeypatch) -> list:
+        calls = []
+        split = expansion._conditioned
+        monkeypatch.setattr(expansion, "_conditioned", lambda *args: calls.append(len(args[0])) or split(*args))
         return calls
 
     def test_wide_core_graph_falls_back(self, monkeypatch):
-        calls = self._spy(monkeypatch)
-        g = expand(generate(FamilySpec("complete", k=25, weights=0)))  # width 24
-        assert mis_oracle(g) == 1
-        assert calls == [25]
-        assert mis_oracle(expand(generate(FamilySpec("complete", k=4, weights=1)))) == 13
-        assert calls == [25]
+        wide = expand(generate(FamilySpec("complete", k=25, weights=0)))  # width 24
+        narrow = expand(generate(FamilySpec("complete", k=4, weights=1)))
+        assert _indset.independence_number(wide.adjacency_masks) == 1
+        calls, split = self._spy(monkeypatch), self._spy_conditioning(monkeypatch)
+        assert mis_oracle(wide) == 1
+        assert split == [25]
+        assert mis_oracle(narrow) == 13
+        assert split == [25]
+        assert calls == []
 
     def test_graph_unlike_its_fragments_falls_back(self, monkeypatch):
         triangle = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
@@ -480,14 +507,71 @@ class TestMisOracle:
         # two fragments on one pair: as many edges as listed, but (2, 3) is no fragment's
         doubled = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(0, 1), (2, 3)}), (),
                                 (expansion.Fragment(0, (0, 1), 0, (0, 1), ()),) * 2)
+        hand_built = [(dropped, 8), (swapped, 8), (extra, 5), (bare, 6), (doubled, 2)]
+        assert [expansion._core_count(g) for g in (triangle, path)] == [3, 3]
+        for g, expected in hand_built:
+            assert expansion._core_count(g) is None
+            assert _indset.independence_number(g.adjacency_masks) == expected
         calls = self._spy(monkeypatch)
         assert (mis_oracle(triangle), mis_oracle(path)) == (7, 6)
+        assert [mis_oracle(g) for g, _ in hand_built] == [expected for _, expected in hand_built]
         assert calls == []
-        assert mis_oracle(dropped) == mis_oracle(swapped) == 8
-        assert mis_oracle(extra) == 5
-        assert mis_oracle(bare) == 6
-        assert mis_oracle(doubled) == 2
-        assert calls == [len(triangle.vertices)] * 2 + [len(path.vertices)] * 2 + [4]
+
+
+class TestConditioning:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=conditioned_problems(), width=st.integers(1, 2), limit=st.integers(1, 4))
+    def test_matches_enumeration(self, problem, width, limit):
+        gain, factors = problem
+        # 2^8 bounds the subproblems of 8 variables, so this split never refuses
+        with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=1 << 8):
+            parts = list(expansion._conditioned(gain, factors))
+            best = max(const + expansion._max_sum(g, f)[0] for g, f, const in parts)
+        assert best == _max_sum_reference(gain, factors, 0)[0]
+        assert all(x != expansion._FORBIDDEN for g, _, _ in parts for x in g)
+        # the early refusal fires exactly when more than `limit` parts hold a factor
+        held = sum(1 for _, f, _ in parts if f)
+        with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=limit):
+            if held > limit:
+                with pytest.raises(CapacityError):
+                    list(expansion._conditioned(gain, factors))
+            else:
+                assert list(expansion._conditioned(gain, factors)) == parts
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("torus-lattice", mx=8, my=8),  # width 17
+        FamilySpec("complete", k=18, weights=1),
+        FamilySpec("complete", k=40, weights=0),
+    ])
+    def test_wide_family_instances(self, spec):
+        g = expand(generate(spec))
+        value = mis_oracle(g, max_vertices=len(g.vertices))
+        assert type(value) is int
+        assert value == family_bound(spec).total
+
+    @pytest.mark.parametrize("spec", [
+        FamilySpec("torus-lattice", mx=10, my=10),
+        FamilySpec("complete", k=30, weights=1),
+    ])
+    def test_refused_before_any_table(self, spec, monkeypatch):
+        g = expand(generate(spec))
+        expansion._gadget_table(1)  # cached, so its own solve does not count below
+        results = []
+        solve = expansion._max_sum
+        monkeypatch.setattr(expansion, "_max_sum", lambda *args: results.append(solve(*args)) or results[-1])
+        with pytest.raises(CapacityError, match=r"^conditioning the elimination down to width 16 "
+                                                r"needs more than 16 subproblems$"):
+            mis_oracle(g, max_vertices=len(g.vertices))
+        assert results == [None]
+
+    def test_fixing_folds_factors_into_gains(self):
+        blocked = [0, 0, 0, expansion._FORBIDDEN]
+        factors = [((0, 1), [1, 2, 3, 5]), ((1, 2), blocked)]
+        assert expansion._fix([1, 1, 1], factors, 0, {1}, 0) == ([2, 0, 1], [], 1)
+        assert expansion._fix([1, 1, 1], factors, 0, {0}, 1) == ([0, 4, 1], [((1, 2), blocked)], 3)
+        # a factor with both ends fixed becomes a constant
+        assert expansion._fix([1, 1, 1], factors[:1], 0, {0, 1}, 1) == ([0, 0, 1], [], 7)
+        assert expansion._fix([1, 1, 1], factors, 0, {1, 2}, 0) == ([2, 0, 0], [], 1)
 
 
 class TestKsPropagate:
