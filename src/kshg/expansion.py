@@ -15,7 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ ENUM_MAX_BITS = 62
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
-# Widest graph that `_max_sum` eliminates: its largest factor table holds
-# 2^(width + 1) entries. `mis_oracle` conditions wider graphs down to it.
+# Widest graph that `_elimination_order` plans for `_max_sum`: its largest factor
+# table holds 2^(width + 1) entries. `_conditioned` splits wider graphs down to it.
 CORE_MAX_WIDTH = 16
 # Most subproblems holding a factor that `mis_oracle` conditions a wide graph
 # into; each may take a second (complete k=21 w=1 needs all 16, in 7 s).
@@ -371,9 +371,10 @@ def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None)
 
 
 @lru_cache(maxsize=64)
-def _gadget_table(weight: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    """T[a][b]: most independent auxiliary vertices of a weight-n gadget whose
-    cores (local vertices 0 and 1) take the 0/1 states a and b.
+def _gadget_table(weight: int) -> tuple[float, ...]:
+    """Most independent auxiliary vertices of a weight-n gadget whose cores
+    (local vertices 0 and 1) take the 0/1 states a and b, at index a + 2b:
+    the pair-factor layout that `mis_oracle` puts on the fragment's cores.
 
     `_max_sum` over the layout of `_gadget`, keeping the two cores: each
     auxiliary vertex gains 1 and each layout edge forbids both its ends at
@@ -381,8 +382,8 @@ def _gadget_table(weight: int) -> tuple[tuple[float, float], tuple[float, float]
     """
     labels, edges, _ = _gadget(weight)
     blocked = [0, 0, 0, _FORBIDDEN]
-    t = _max_sum([0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges], kept=2)
-    return (t[0], t[2]), (t[1], t[3])
+    order = _elimination_order(2 + len(labels), edges, kept=2)  # a chain of levels: width 3
+    return tuple(_max_sum([0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges], order, kept=2))
 
 
 def _core_count(g: ExpandedGraph) -> int | None:
@@ -449,27 +450,24 @@ def _join(scope: tuple[int, ...], combined: list, bucket: list) -> list:
 
 
 def _max_sum(
-    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]], kept: int = 0
-) -> list | None:
+    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]], order: Sequence[int], kept: int = 0
+) -> list:
     """Max of sum_v gain[v] x_v plus the pair factors over 0/1 states x, as a
-    table over the states of the first `kept` variables (bit v for variable
-    v), or None when the factor graph is wider than `CORE_MAX_WIDTH`.
+    table over the states of the first `kept` variables (bit v for variable v).
 
-    Max-sum variable elimination: each factor is (scope, table), its table a
-    list indexed by the bitmask of its scope's states, and sits in the bucket
-    of its scope's earliest variable in the order; the kept variables come
-    after every other, so a factor wholly inside them waits until the end.
-    Eliminating v sums its bucket and its own gain over v and the rest of
-    the scope, then maximises v out.
+    Max-sum variable elimination in `order`, which lists every variable but
+    the kept ones (any such order is exact): each factor is (scope, table),
+    its table indexed by the bitmask of its scope's states, and sits in the
+    bucket of its scope's earliest variable in the order; the kept variables
+    come after every other, so a factor wholly inside them waits until the
+    end. Eliminating v sums its bucket and its own gain over v and the rest
+    of the scope, then maximises v out.
     """
     n = len(gain)
-    order = _elimination_order(n, (s for s, _ in factors), kept)
-    if order is None:
-        return None
     position = [n] * n
     for pos, v in enumerate(order):
         position[v] = pos
-    buckets: list[list[tuple[tuple[int, ...], list]]] = [[] for _ in range(n)]
+    buckets: list[list[tuple[tuple[int, ...], Sequence]]] = [[] for _ in range(n)]
     for scope, table in factors:
         buckets[min(scope, key=position.__getitem__)].append((scope, table))
     total = 0
@@ -488,64 +486,68 @@ def _max_sum(
     return _join(tuple(range(kept)), start, [f for v in range(kept) for f in buckets[v]])
 
 
-def _fix(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]], const: int,
-         fixed: set[int], x: int) -> tuple[list[int], list[tuple[tuple[int, int], list]], int]:
-    """The problem with every variable in `fixed` fixed at x, as (gain, factors, const).
+def _fix(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]], const: int,
+         fixed: Mapping[int, int]) -> tuple[list[int], list[tuple[tuple[int, int], Sequence]], int]:
+    """The problem with each variable v of `fixed` fixed at fixed[v], as (gain, factors, const).
 
     Each factor on a fixed variable becomes a gain on its other variable,
     plus a constant; the fixed variables keep gain 0 and no factor. Only a
     table's (1, 1) entry may be `_FORBIDDEN`, so a variable goes to 1 only
-    once each neighbour it forbids is at 0.
+    together with each neighbour it forbids at 0.
     """
     gain = list(gain)
-    for v in fixed:
+    for v, x in fixed.items():
         const += gain[v] * x
         gain[v] = 0
     rest = []
     for (i, j), table in factors:  # table index x_i + 2 x_j
-        if i in fixed and j in fixed:
-            const += table[3 * x]
-        elif i in fixed:
-            const += table[x]
-            gain[j] += table[x + 2] - table[x]
-        elif j in fixed:
-            const += table[2 * x]
-            gain[i] += table[2 * x + 1] - table[2 * x]
-        else:
+        a, b = fixed.get(i), fixed.get(j)
+        if a is None and b is None:
             rest.append(((i, j), table))
+        elif b is None:
+            const += table[a]
+            gain[j] += table[a + 2] - table[a]
+        elif a is None:
+            const += table[2 * b]
+            gain[i] += table[2 * b + 1] - table[2 * b]
+        else:
+            const += table[a + 2 * b]
     return gain, rest, const
 
 
 def _conditioned(
-    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], list]]
-) -> Iterator[tuple[list[int], list[tuple[tuple[int, int], list]], int]]:
-    """(gain, factors, const) subproblems that `_max_sum` can eliminate; the
-    problem's best is the max over them of const plus their own best.
+    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]]
+) -> list[tuple[list[int], list[tuple[tuple[int, int], Sequence]], int, list[int]]]:
+    """(gain, factors, const, order) parts, each with the elimination order
+    that keeps it within `CORE_MAX_WIDTH`; the problem's best is the max over
+    them of const plus `_max_sum(gain, factors, order)`. A problem that fits
+    is its own single part.
 
     Cutset conditioning: a problem too wide to eliminate splits on its
     variable v with the most factors, fixed at 0 and at 1; at 1, each
     neighbour that v forbids is fixed at 0 too. A pending problem with a
-    factor yields at least one subproblem with a factor (a too-wide problem
-    has one off v), so the split raises `CapacityError` as soon as pending
-    and yielded problems with a factor number more than
-    `MAX_CONDITIONED_SUBPROBLEMS`.
+    factor gives at least one part with a factor (a too-wide problem has one
+    off v), so the split raises `CapacityError` as soon as pending problems
+    and parts with a factor number more than `MAX_CONDITIONED_SUBPROBLEMS`.
+    Every split is planned before the caller builds any table.
     """
+    parts = []
     stack = [(gain, factors, 0)]
-    held = 1  # problems with a factor, pending or yielded
+    held = 1  # problems with a factor, pending or planned
     while stack:
-        problem = stack.pop()
-        gain, factors, const = problem
-        if _elimination_order(len(gain), (s for s, _ in factors)) is not None:
-            yield problem
+        gain, factors, _ = problem = stack.pop()
+        order = _elimination_order(len(gain), (s for s, _ in factors))
+        if order is not None:
+            parts.append((*problem, order))
             continue
         count = [0] * len(gain)
         for scope, _ in factors:
             for u in scope:
                 count[u] += 1
         v = count.index(max(count))
-        forbidden = {u for scope, table in factors if v in scope and table[3] == _FORBIDDEN for u in scope}
-        forbidden.discard(v)
-        children = [_fix(*_fix(*problem, forbidden, 0), {v}, 1), _fix(*problem, {v}, 0)]
+        at_one = {u: 0 for scope, table in factors if v in scope and table[3] == _FORBIDDEN for u in scope}
+        at_one[v] = 1
+        children = [_fix(*problem, at_one), _fix(*problem, {v: 0})]
         held += sum(1 for _, f, _ in children if f) - 1
         if held > MAX_CONDITIONED_SUBPROBLEMS:
             raise CapacityError(
@@ -553,6 +555,7 @@ def _conditioned(
                 f"than {MAX_CONDITIONED_SUBPROBLEMS} subproblems"
             )
         stack += children
+    return parts
 
 
 def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> int:
@@ -563,28 +566,20 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     the independence number. A gadget meets the rest of the graph only at
     its two cores, so when the fragments describe `g` the search runs over
     the core states with one `_gadget_table` per fragment. Otherwise every
-    vertex is a core and every edge a weight-0 gadget. Either problem goes
-    to `_max_sum`; one wider than `CORE_MAX_WIDTH` is split by
-    `_conditioned` into at most `MAX_CONDITIONED_SUBPROBLEMS` that hold a
-    factor, or refused with `CapacityError` before any table is built.
-    `max_vertices` limits the expanded vertex count either way.
+    vertex is a core and every edge a weight-0 gadget. `_conditioned` plans
+    either problem as parts of width at most `CORE_MAX_WIDTH` (one part when
+    it fits, at most `MAX_CONDITIONED_SUBPROBLEMS` that hold a factor, or
+    `CapacityError` before any table is built), and `_max_sum` eliminates
+    each part. `max_vertices` limits the expanded vertex count either way.
     """
     check_search_capacity(len(g.vertices), max_vertices)
     k = _core_count(g)
     if k is None:
-        (t00, t01), (t10, t11) = _gadget_table(0)
-        blocked = [t00, t10, t01, t11]
-        gain, factors = [1] * len(g.vertices), [(pair, blocked) for pair in g.sorted_edges]
+        gain, factors = [1] * len(g.vertices), [(pair, _gadget_table(0)) for pair in g.sorted_edges]
     else:
-        gain, factors = [1] * k, []
-        for f in g.fragments:
-            (t00, t01), (t10, t11) = _gadget_table(f.weight)
-            factors.append((f.endpoints, [t00, t10, t01, t11]))
-    table = _max_sum(gain, factors)
-    if table is not None:
-        return table[0]
-    subproblems = list(_conditioned(gain, factors))  # every split before any table
-    return max(const + _max_sum(part_gain, part)[0] for part_gain, part, const in subproblems)
+        gain, factors = [1] * k, [(f.endpoints, _gadget_table(f.weight)) for f in g.fragments]
+    return max(const + _max_sum(part_gain, part_factors, order)[0]
+               for part_gain, part_factors, const, order in _conditioned(gain, factors))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from kshg import (
     ValidationError,
     brute_force_max,
     check_subgraph_decomposition,
+    classical_bound,
     evaluate,
     evaluate_edge_observable,
     expand,
@@ -394,12 +395,19 @@ class TestMaxSum:
     @given(problem=max_sum_problems())
     def test_matches_enumeration(self, problem):
         gain, factors, kept = problem
-        assert expansion._max_sum(gain, factors, kept) == _max_sum_reference(gain, factors, kept)
+        order = expansion._elimination_order(len(gain), (s for s, _ in factors), kept)
+        assert expansion._max_sum(gain, factors, order, kept) == _max_sum_reference(gain, factors, kept)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=max_sum_problems(), data=st.data())
+    def test_exact_under_any_order(self, problem, data):
+        gain, factors, kept = problem
+        order = data.draw(st.permutations(range(kept, len(gain))))  # the kept variables stay last
+        assert expansion._max_sum(gain, factors, order, kept) == _max_sum_reference(gain, factors, kept)
 
     def test_complete_graph_is_too_wide(self):
-        blocked = [0, 0, 0, expansion._FORBIDDEN]
-        pairs = [((i, j), blocked) for i in range(18) for j in range(i + 1, 18)]
-        assert expansion._max_sum([1] * 18, pairs) is None
+        assert expansion._elimination_order(18, [(i, j) for i in range(18) for j in range(i + 1, 18)]) is None
+        assert len(expansion._elimination_order(17, [(i, j) for i in range(17) for j in range(i + 1, 17)])) == 17
 
 
 class TestMisOracle:
@@ -450,13 +458,13 @@ class TestMisOracle:
             else:
                 free = aux & ~(closed[0] if a else 0) & ~(closed[1] if b else 0)
                 expected = _indset._alpha(adj, closed, free, {})
-            assert table[a][b] == expected
+            assert table[a + 2 * b] == expected
         reference = 2 * weight - 1 if weight else float("-inf")
-        assert table == ((2 * weight, 2 * weight), (2 * weight, reference))
+        assert table == (2 * weight, 2 * weight, 2 * weight, reference)
 
     @pytest.mark.parametrize("weight", (9, 16, 64, 200))
     def test_gadget_table_of_heavy_weights(self, weight):
-        assert expansion._gadget_table(weight) == ((2 * weight, 2 * weight), (2 * weight, 2 * weight - 1))
+        assert expansion._gadget_table(weight) == (2 * weight, 2 * weight, 2 * weight, 2 * weight - 1)
 
     @pytest.mark.parametrize("spec, expected", [
         (FamilySpec("square-lattice", mx=6, my=6), 138),
@@ -479,9 +487,11 @@ class TestMisOracle:
 
     @staticmethod
     def _spy_conditioning(monkeypatch) -> list:
+        """Record (variable count, planned parts) for every `_conditioned` call."""
         calls = []
         split = expansion._conditioned
-        monkeypatch.setattr(expansion, "_conditioned", lambda *args: calls.append(len(args[0])) or split(*args))
+        monkeypatch.setattr(expansion, "_conditioned",
+                            lambda gain, factors: calls.append((len(gain), split(gain, factors))) or calls[-1][1])
         return calls
 
     def test_wide_core_graph_falls_back(self, monkeypatch):
@@ -490,10 +500,27 @@ class TestMisOracle:
         assert _indset.independence_number(wide.adjacency_masks) == 1
         calls, split = self._spy(monkeypatch), self._spy_conditioning(monkeypatch)
         assert mis_oracle(wide) == 1
-        assert split == [25]
+        [(variables, parts)] = split
+        assert variables == 25 and len(parts) > 1
         assert mis_oracle(narrow) == 13
-        assert split == [25]
+        root = ([1] * 4, [(f.endpoints, expansion._gadget_table(1)) for f in narrow.fragments], 0)
+        assert [(variables, [part[:3] for part in parts]) for variables, parts in split[1:]] == [(4, [root])]
         assert calls == []
+
+    @pytest.mark.parametrize("spec, orders", [
+        (FamilySpec("square-lattice", mx=6, my=6), 1),
+        (FamilySpec("torus-lattice", mx=8, my=8), 3),  # the root and its two children
+        (FamilySpec("complete", k=18, weights=1), 3),
+    ])
+    def test_one_elimination_order_per_problem(self, spec, orders, monkeypatch):
+        g = expand(generate(spec))
+        expansion._gadget_table(1)  # cached, so its own order does not count below
+        calls = []
+        plan = expansion._elimination_order
+        monkeypatch.setattr(expansion, "_elimination_order",
+                            lambda *args, **kwargs: calls.append(args[0]) or plan(*args, **kwargs))
+        assert mis_oracle(g, max_vertices=len(g.vertices)) == family_bound(spec).total
+        assert len(calls) == orders
 
     def test_graph_unlike_its_fragments_falls_back(self, monkeypatch):
         triangle = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
@@ -518,25 +545,50 @@ class TestMisOracle:
         assert calls == []
 
 
+@st.composite
+def weighted_hypergraphs(draw):
+    """2-12 cores, each pair joined or not, weights 0-3."""
+    k = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    return HyperGraph(k, tuple(HyperEdge(i, j, w) for (i, j), p, w in zip(pairs, present, weights) if p))
+
+
 class TestConditioning:
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs(), width=st.integers(1, 3))
+    def test_whole_route_matches_the_core_bound(self, h, width):
+        g = expand(h)
+        for weight in range(4):
+            expansion._gadget_table(weight)  # cached at the real width: a gadget needs width 3
+        # 2^12 bounds the subproblems of 12 cores, so this split never refuses
+        with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=1 << 12):
+            value = mis_oracle(g, max_vertices=len(g.vertices))
+        assert type(value) is int
+        assert value == classical_bound(h).total
+        if len(g.vertices) <= 20:
+            assert value == brute_force_max(g)
+
     @settings(max_examples=200, deadline=None)
     @given(problem=conditioned_problems(), width=st.integers(1, 2), limit=st.integers(1, 4))
     def test_matches_enumeration(self, problem, width, limit):
         gain, factors = problem
         # 2^8 bounds the subproblems of 8 variables, so this split never refuses
         with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=1 << 8):
-            parts = list(expansion._conditioned(gain, factors))
-            best = max(const + expansion._max_sum(g, f)[0] for g, f, const in parts)
+            parts = expansion._conditioned(gain, factors)
+            best = max(const + expansion._max_sum(g, f, order)[0] for g, f, const, order in parts)
+            assert all(order == expansion._elimination_order(len(g), (s for s, _ in f)) for g, f, _, order in parts)
         assert best == _max_sum_reference(gain, factors, 0)[0]
-        assert all(x != expansion._FORBIDDEN for g, _, _ in parts for x in g)
+        assert all(x != expansion._FORBIDDEN for g, _, _, _ in parts for x in g)
         # the early refusal fires exactly when more than `limit` parts hold a factor
-        held = sum(1 for _, f, _ in parts if f)
+        held = sum(1 for _, f, _, _ in parts if f)
         with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=limit):
             if held > limit:
                 with pytest.raises(CapacityError):
-                    list(expansion._conditioned(gain, factors))
+                    expansion._conditioned(gain, factors)
             else:
-                assert list(expansion._conditioned(gain, factors)) == parts
+                assert expansion._conditioned(gain, factors) == parts
 
     @pytest.mark.parametrize("spec", [
         FamilySpec("torus-lattice", mx=8, my=8),  # width 17
@@ -556,22 +608,49 @@ class TestConditioning:
     def test_refused_before_any_table(self, spec, monkeypatch):
         g = expand(generate(spec))
         expansion._gadget_table(1)  # cached, so its own solve does not count below
-        results = []
-        solve = expansion._max_sum
-        monkeypatch.setattr(expansion, "_max_sum", lambda *args: results.append(solve(*args)) or results[-1])
+        calls = []
+        monkeypatch.setattr(expansion, "_max_sum", lambda *args: calls.append(args))
         with pytest.raises(CapacityError, match=r"^conditioning the elimination down to width 16 "
                                                 r"needs more than 16 subproblems$"):
             mis_oracle(g, max_vertices=len(g.vertices))
-        assert results == [None]
+        assert calls == []
+
+    @staticmethod
+    def _bare(spec: FamilySpec) -> ExpandedGraph:
+        """The expansion without its fragments, so every vertex is a variable."""
+        g = expand(generate(spec))
+        return ExpandedGraph(g.vertices, g.edges, g.bases)
+
+    def test_all_vertex_route_conditions(self, monkeypatch):
+        g = self._bare(FamilySpec("torus-lattice", mx=8, my=8))
+        assert expansion._core_count(g) is None
+        split = TestMisOracle._spy_conditioning(monkeypatch)
+        value = mis_oracle(g, max_vertices=len(g.vertices))
+        assert type(value) is int
+        assert value == 288
+        [(variables, parts)] = split
+        assert variables == 832 and len(parts) > 1
+
+    def test_all_vertex_route_refused_before_any_table(self, monkeypatch):
+        g = self._bare(FamilySpec("torus-lattice", mx=10, my=10))
+        expansion._gadget_table(0)  # cached, so its own solve does not count below
+        calls = []
+        monkeypatch.setattr(expansion, "_max_sum", lambda *args: calls.append(args))
+        with pytest.raises(CapacityError, match=r"^conditioning the elimination down to width 16 "
+                                                r"needs more than 16 subproblems$"):
+            mis_oracle(g, max_vertices=len(g.vertices))
+        assert calls == []
 
     def test_fixing_folds_factors_into_gains(self):
         blocked = [0, 0, 0, expansion._FORBIDDEN]
         factors = [((0, 1), [1, 2, 3, 5]), ((1, 2), blocked)]
-        assert expansion._fix([1, 1, 1], factors, 0, {1}, 0) == ([2, 0, 1], [], 1)
-        assert expansion._fix([1, 1, 1], factors, 0, {0}, 1) == ([0, 4, 1], [((1, 2), blocked)], 3)
+        assert expansion._fix([1, 1, 1], factors, 0, {1: 0}) == ([2, 0, 1], [], 1)
+        assert expansion._fix([1, 1, 1], factors, 0, {0: 1}) == ([0, 4, 1], [((1, 2), blocked)], 3)
         # a factor with both ends fixed becomes a constant
-        assert expansion._fix([1, 1, 1], factors[:1], 0, {0, 1}, 1) == ([0, 0, 1], [], 7)
-        assert expansion._fix([1, 1, 1], factors, 0, {1, 2}, 0) == ([2, 0, 0], [], 1)
+        assert expansion._fix([1, 1, 1], factors[:1], 0, {0: 1, 1: 1}) == ([0, 0, 1], [], 7)
+        assert expansion._fix([1, 1, 1], factors, 0, {1: 0, 2: 0}) == ([2, 0, 0], [], 1)
+        # one call fixes a variable at 1 and the neighbour it forbids at 0
+        assert expansion._fix([1, 1, 1], factors, 0, {2: 1, 1: 0}) == ([2, 0, 0], [], 2)
 
 
 class TestKsPropagate:
