@@ -31,6 +31,7 @@ from .expansion import (
     Assignment,
     brute_force_max,
     check_enumeration_capacity,
+    check_expansion_capacity,
     expand,
     expanded_vertex_count,
     expand_hyper_edge,
@@ -337,6 +338,7 @@ def _cmd_mis(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
+    check_expansion_capacity(h.vertex_count, h.weight_sum)
     g = expand(h)
     items: list[tuple[str, object]] = [
         ("command", "expand"),
@@ -391,6 +393,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValidationError(f"the contradiction demo needs weight n >= 1, got {args.n}")
+    check_expansion_capacity(2, args.n)
     g = expand_hyper_edge(args.n)
     outcome = ks_propagate(g, {0: 1, 1: 1})
 

@@ -15,7 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,20 +37,23 @@ CORE_MAX_WIDTH = 16
 # Most subproblems holding a factor that `mis_oracle` conditions a wide graph
 # into; each may take a second (complete k=21 w=1 needs all 16, in 7 s).
 MAX_CONDITIONED_SUBPROBLEMS = 16
+# Most expanded vertices that `kshg expand` and `kshg demo` build: a weight-20000
+# edge (120,002 vertices) takes 0.73 s and 97 MB, so this is about 0.8 GB.
+EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
 
 AUX_KINDS = ("p", "q", "a+", "a-", "b+", "b-")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreVertex:
     """Expanded-graph vertex standing for an original hyper-graph vertex."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuxVertex:
     """Auxiliary vertex owned by one hyper-edge.
 
@@ -106,12 +109,19 @@ class Fragment:
 
 @dataclass(frozen=True, eq=False)
 class ExpandedGraph:
-    """Plain orthogonality graph with role metadata and basis triangles."""
+    """Plain orthogonality graph with role metadata and basis triangles.
+
+    The constructor (and so `dataclasses.replace`) checks the edges and
+    bases. `expand` and `expand_hyper_edge` build through `_assembled`
+    instead, which skips that check and records the core count.
+    """
 
     vertices: tuple[ExpandedVertex, ...]
     edges: frozenset[tuple[int, int]]
     bases: tuple[tuple[int, int, int], ...]
     fragments: tuple[Fragment, ...] = ()
+    # `_core_count` of a graph from `_assembled`; None means not yet checked.
+    _assembled_cores: ClassVar[int | None] = None
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -125,6 +135,18 @@ class ExpandedGraph:
             for pair in ((a, b), (a, c), (b, c)):
                 if pair not in self.edges:
                     raise ValidationError(f"basis {triple} is not a triangle: missing edge {pair}")
+
+    @classmethod
+    def _assembled(cls, vertices, edges, bases, fragments, core_count: int) -> ExpandedGraph:
+        """A graph relabelled from `_gadget` layouts by `_assemble`.
+
+        It is valid by construction, and `core_count` is its `_core_count`.
+        """
+        g = object.__new__(cls)
+        # a frozen dataclass: write the fields as its generated __init__ would
+        vars(g).update(vertices=vertices, edges=edges, bases=bases, fragments=fragments,
+                       _assembled_cores=core_count)
+        return g
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -203,7 +225,9 @@ def _gadget(
     The endpoint cores are local vertices 0 and 1, and auxiliary vertex t is
     local vertex 2 + t in construction order: p chain levels 0..n-1, q chain
     levels 0..n-1, then per level 1..n the bridging four (a+, a-, b+, b-).
-    Every edge pair and basis triple is listed in increasing local order.
+    Every edge pair and basis triple is listed in increasing local order,
+    no edge twice, and every basis is a triangle of the listed edges;
+    `_assemble` relies on this, and the tests check it for many weights.
     The layout is cached and shared, so it is made of tuples only.
     """
     if weight == 0:
@@ -229,12 +253,33 @@ def _gadget(
     return tuple(labels), tuple(edges), tuple(bases)
 
 
+def _aux_vertices(edge_id: int, labels: Iterable[tuple[str, int]]) -> list[AuxVertex]:
+    """The auxiliary vertices of edge `edge_id` for a `_gadget` label list.
+
+    Every kind in a layout is one of `AUX_KINDS`, so each vertex skips the
+    constructor and its kind check: its slots are filled directly, at about
+    half the cost.
+    """
+    set_edge, set_kind, set_level = AuxVertex.edge.__set__, AuxVertex.kind.__set__, AuxVertex.level.__set__
+    vertices = []
+    for kind, level in labels:
+        v = object.__new__(AuxVertex)
+        set_edge(v, edge_id)
+        set_kind(v, kind)
+        set_level(v, level)
+        vertices.append(v)
+    return vertices
+
+
 def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]) -> ExpandedGraph:
     """Place one gadget per (edge id, i, j, weight) on `vertex_count` shared cores.
 
-    Each gadget's auxiliary vertices are appended after the previous ones,
-    and its local layout is relabelled through the fragment's vertex order.
-    That order increases (i < j < every new vertex), so pairs stay sorted.
+    The placements join distinct core pairs i < j < `vertex_count`. Each
+    gadget's auxiliary vertices are appended after the previous ones, and
+    its `_gadget` layout is relabelled through the fragment's vertex
+    order. That order increases (i < j < every new vertex), so pairs stay
+    sorted and distinct and bases stay triangles: the graph is valid and its
+    fragments describe it, so it is built with its core count and unchecked.
     """
     vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(vertex_count)]
     edges: list[tuple[int, int]] = []
@@ -244,13 +289,15 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
         labels, local_edges, local_bases = _gadget(weight)
         order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
         first_basis = len(bases)
-        vertices.extend(AuxVertex(edge_id, kind, level) for kind, level in labels)
-        edges.extend((order[s], order[t]) for s, t in local_edges)
-        bases.extend((order[s], order[t], order[u]) for s, t, u in local_bases)
+        vertices += _aux_vertices(edge_id, labels)
+        edges += [(order[s], order[t]) for s, t in local_edges]
+        bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
         fragments.append(
             Fragment(edge_id, (i, j), weight, order, tuple(range(first_basis, len(bases))))
         )
-    return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
+    return ExpandedGraph._assembled(
+        tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments), vertex_count
+    )
 
 
 def expand_hyper_edge(weight: int, edge_id: int = 0) -> ExpandedGraph:
@@ -326,11 +373,14 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     coupling[:high, :low] = -adj[low:, :low]
     coupling[high, low] = 1.0
     chunk = ENUM_BLOCK_ENTRIES >> low
+    # One score matrix per call, refilled per block: a fresh 256 KB matrix per
+    # block may be page-faulted in anew each time, as the malloc heap's state has it.
+    scores = np.empty((min(chunk, 1 << high), 1 << low), dtype=np.float32)
     best = 0.0
     for start in range(0, 1 << high, chunk):
         x_high = _bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
-        scores = (x_high @ coupling) @ table
-        block = scores.max(axis=1) + objective(x_high[:, :high], low, n)
+        block_scores = np.matmul(x_high @ coupling, table, out=scores[: len(x_high)])
+        block = block_scores.max(axis=1) + objective(x_high[:, :high], low, n)
         best = max(best, float(block.max()))
     return int(best)
 
@@ -338,6 +388,14 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
 def expanded_vertex_count(h: HyperGraph) -> int:
     """Vertex count of `expand(h)`, known before anything is allocated."""
     return h.vertex_count + 6 * h.weight_sum
+
+
+def check_expansion_capacity(cores: int, weight_sum: int) -> None:
+    """Refuse to expand `cores` vertices and edges of total weight `weight_sum`
+    (`expanded_vertex_count` of that hyper-graph) past `EXPAND_MAX_VERTICES`."""
+    n = cores + 6 * weight_sum
+    if n > EXPAND_MAX_VERTICES:
+        raise CapacityError(f"{n} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
 
 
 def check_enumeration_capacity(
@@ -565,7 +623,8 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     expression, so its maximum is attained on an independent set and equals
     the independence number. A gadget meets the rest of the graph only at
     its two cores, so when the fragments describe `g` the search runs over
-    the core states with one `_gadget_table` per fragment. Otherwise every
+    the core states with one `_gadget_table` per fragment (`expand` records
+    that they do; any other graph is checked by `_core_count`). Otherwise every
     vertex is a core and every edge a weight-0 gadget. `_conditioned` plans
     either problem as parts of width at most `CORE_MAX_WIDTH` (one part when
     it fits, at most `MAX_CONDITIONED_SUBPROBLEMS` that hold a factor, or
@@ -573,7 +632,7 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     each part. `max_vertices` limits the expanded vertex count either way.
     """
     check_search_capacity(len(g.vertices), max_vertices)
-    k = _core_count(g)
+    k = g._assembled_cores if g._assembled_cores is not None else _core_count(g)
     if k is None:
         gain, factors = [1] * len(g.vertices), [(pair, _gadget_table(0)) for pair in g.sorted_edges]
     else:

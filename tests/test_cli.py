@@ -345,6 +345,41 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"capacity error: 6000002 vertices exceed {limit}\n"
 
+    @pytest.mark.parametrize("command", ["expand", "demo"])
+    def test_expansion_limit_checked_before_expansion(self, capsys, tmp_path, monkeypatch, command):
+        graph = tmp_path / "heavy.hg"
+        graph.write_text("vertices 2\nedge 1 2 100000000\n")
+
+        def refuse(*args):
+            raise AssertionError("expanded before the capacity check")
+
+        monkeypatch.setattr("kshg.cli.expand", refuse)
+        monkeypatch.setattr("kshg.cli.expand_hyper_edge", refuse)
+        argv = [command, str(graph)] if command == "expand" else [command, "clifton", "--n", "100000000"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "capacity error: 600000002 vertices exceed the expansion limit of 1000000\n"
+
+    @pytest.mark.parametrize("weight, refused", [(166666, False), (166667, True)])
+    def test_expansion_limit_boundary(self, capsys, tmp_path, monkeypatch, weight, refused):
+        # 2 + 6 * 166666 = 999,998 vertices fit; the stub stands in for the expansion
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr("kshg.cli.expand", reached)
+        monkeypatch.setattr("kshg.cli.expand_hyper_edge", reached)
+        graph = tmp_path / "edge.hg"
+        graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
+        for argv in (["expand", str(graph)], ["demo", "clifton", "--n", str(weight)]):
+            if refused:
+                assert run(capsys, *argv)[0] == 2
+            else:
+                with pytest.raises(Reached):
+                    main(argv)
+
     def test_verify_counts_rays_before_expansion(self, capsys, tmp_path, monkeypatch):
         graph = tmp_path / "heavy.hg"
         graph.write_text("vertices 2\nedge 1 2 1000000\n")

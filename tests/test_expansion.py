@@ -1,5 +1,6 @@
 """Tests for gadget expansion, expression oracles, and constraint propagation."""
 
+import dataclasses
 import random
 from itertools import product
 from unittest import mock
@@ -144,6 +145,22 @@ class TestGadgetStructure:
         warm = results()
         expansion._gadget.cache_clear()
         assert results() == warm
+
+    @pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 8, 13, 40))
+    def test_layout_passes_the_graph_check(self, n):
+        # `_assemble` builds graphs from these layouts without checking them
+        labels, edges, bases = expansion._gadget(n)
+        assert len(set(edges)) == len(edges)
+        vertices = (CoreVertex(0), CoreVertex(1), *(AuxVertex(0, kind, level) for kind, level in labels))
+        ExpandedGraph(vertices, frozenset(edges), bases)  # raises on a bad pair, basis or kind
+
+    def test_unchecked_aux_vertices_match_the_constructor(self):
+        labels = expansion._gadget(2)[0]
+        built = expansion._aux_vertices(7, labels)
+        assert built == [AuxVertex(7, kind, level) for kind, level in labels]
+        assert [hash(v) for v in built] == [hash(AuxVertex(7, kind, level)) for kind, level in labels]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built[0].level = 5
 
 
 class TestExpand:
@@ -651,6 +668,50 @@ class TestConditioning:
         assert expansion._fix([1, 1, 1], factors, 0, {1: 0, 2: 0}) == ([2, 0, 0], [], 1)
         # one call fixes a variable at 1 and the neighbour it forbids at 0
         assert expansion._fix([1, 1, 1], factors, 0, {2: 1, 1: 0}) == ([2, 0, 0], [], 2)
+
+
+class TestAssembledGraphs:
+    """`expand` and `expand_hyper_edge` skip the constructor's check and carry
+    their core count; every other graph is checked and carries none."""
+
+    @staticmethod
+    def _rebuilt(g: ExpandedGraph) -> ExpandedGraph:
+        return ExpandedGraph(g.vertices, g.edges, g.bases, g.fragments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs())
+    def test_expansions_pass_the_public_check(self, h):
+        g = expand(h)
+        assert g._assembled_cores == h.vertex_count
+        assert expansion._core_count(self._rebuilt(g)) == g._assembled_cores
+
+    @pytest.mark.parametrize("weight", range(7))
+    @pytest.mark.parametrize("edge_id", (0, 5))
+    def test_gadgets_pass_the_public_check(self, weight, edge_id):
+        g = expand_hyper_edge(weight, edge_id)
+        assert g._assembled_cores == 2
+        assert expansion._core_count(self._rebuilt(g)) == 2
+
+    def test_public_and_replaced_graphs_are_checked(self, monkeypatch):
+        g = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
+        p0, q0 = g.aux_index(0, "p", 0), g.aux_index(0, "q", 0)
+        rebuilt, copied = self._rebuilt(g), dataclasses.replace(g)
+        dropped = dataclasses.replace(g, edges=g.edges - {(p0, q0)}, bases=())
+        assert [x._assembled_cores for x in (rebuilt, copied, dropped)] == [None] * 3
+        counted = []
+        count = expansion._core_count
+        monkeypatch.setattr(expansion, "_core_count", lambda x: counted.append(x) or count(x))
+        assert [mis_oracle(x) for x in (g, rebuilt, copied, dropped)] == [7, 7, 7, 8]
+        assert counted == [rebuilt, copied, dropped]
+
+    def test_public_constructor_and_replace_still_check(self):
+        g = expand_hyper_edge(1)
+        with pytest.raises(ValidationError, match="not an ordered pair"):
+            ExpandedGraph(g.vertices, g.edges | {(3, 3)}, g.bases, g.fragments)
+        with pytest.raises(ValidationError, match="not a triangle"):
+            dataclasses.replace(g, edges=g.edges - {g.bases[0][:2]})
+        with pytest.raises(ValidationError, match="three distinct vertices"):
+            dataclasses.replace(g, bases=((0, 0, 1),))
 
 
 class TestKsPropagate:
