@@ -56,18 +56,24 @@ def _alpha(
 ) -> int:
     """Independence number of the subgraph induced by `mask`.
 
-    Vertices of degree 0 or 1 always belong to some optimum, so they are
-    peeled greedily in a loop, lowest index first, caching the value of
-    every peeled mask; otherwise the graph is split into connected
-    components and the search branches on a highest-degree vertex.
+    A vertex of degree at most 2 whose neighbours are adjacent (degree 0, a
+    leaf, or a corner of a triangle) belongs to some optimum: its
+    neighbourhood is a clique, so any optimum holds at most one of its
+    neighbours and can swap it for the vertex. Such vertices are peeled
+    greedily in a loop, lowest index first, removing each with its
+    neighbourhood and caching the value of every peeled mask; otherwise the
+    graph is split into connected components and the search branches on a
+    highest-degree vertex. Higher-degree clique neighbourhoods are not
+    checked: on sparse graphs they are rare and the check would cost every
+    degree-3 vertex.
 
-    Degrees only fall as `mask` shrinks, so a vertex needs a new degree
-    check only when a peel removes one of its neighbours. `pending` holds
-    the vertices not yet checked, and so every vertex of degree 0 or 1; it
+    A vertex's neighbourhood in `mask` changes only when a neighbour is
+    removed, so it needs a new check only then. `pending` holds the
+    vertices not yet checked, and so every vertex that can be peeled; it
     is checked lowest first, so the first hit is the lowest such vertex.
     It starts as `touched` (all of `mask` by default): a caller that knows
-    `mask` had no vertex of degree 0 or 1 before it removed some vertices
-    passes their neighbours.
+    `mask` had no vertex to peel before it removed some vertices passes
+    their neighbours.
     """
     peeled: list[int] = []
     pending = touched & mask
@@ -84,13 +90,16 @@ def _alpha(
             bit = pending & -pending
             pending ^= bit
             neighbour = adj[bit.bit_length() - 1] & mask
-            if neighbour.bit_count() <= 1:
+            degree = neighbour.bit_count()
+            # With two neighbours, the higher one's closed neighbourhood
+            # holds the lower one exactly when they are adjacent.
+            if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
                 peeled.append(mask)
                 mask ^= bit | neighbour
                 if neighbour:
-                    pending |= adj[neighbour.bit_length() - 1]
+                    pending |= adj[neighbour.bit_length() - 1] | adj[(neighbour & -neighbour).bit_length() - 1]
                 break
-        else:  # no vertex of degree 0 or 1 is left
+        else:  # no vertex is left to peel
             comps = _components(adj, mask)
             if len(comps) > 1:
                 result = sum(_alpha(adj, closed, comp, cache, 0) for comp in comps)
@@ -140,9 +149,10 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
 
     The witness is rebuilt greedily: the lowest remaining candidate joins it
     exactly when some maximum set of the candidates contains it, which
-    yields the smallest witness under sorted-list comparison. A candidate of
-    degree 0 or 1 among the candidates always does, so it joins without a
-    search. Any other candidate `v` is decided inside its connected
+    yields the smallest witness under sorted-list comparison. A candidate
+    that `_alpha` would peel (degree 0 or 1 among the candidates, or degree
+    2 with adjacent neighbours) always does, so it joins without a search.
+    Any other candidate `v` is decided inside its connected
     component `K` among the candidates, which holds `v`'s whole
     neighbourhood: `v` joins exactly when `1 + alpha(K - N[v]) == alpha(K)`,
     since every other component keeps its value either way. `alpha(K)` is
@@ -160,7 +170,10 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
         bit = candidates & -candidates
         v = bit.bit_length() - 1
         near = closed[v] & candidates  # v and its neighbours among the candidates
-        if near.bit_count() > 2:
+        size = near.bit_count()
+        # v is the lowest of `near`, so with two neighbours the highest one's
+        # closed neighbourhood misses the other exactly when they are not adjacent.
+        if size > 3 or size == 3 and near & ~closed[near.bit_length() - 1]:
             component = _component(adj, candidates, near)
             if component == candidates:
                 best = total - len(witness)

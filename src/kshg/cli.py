@@ -596,13 +596,26 @@ _parser = functools.cache(build_parser)
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Whatever stdout still buffers goes to the null device, so that the
+        # interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        try:
+            print("error: standard output closed before the output was complete", file=sys.stderr)
+        except OSError:
+            pass  # stderr is gone too
+        return 1
 
 
 if __name__ == "__main__":

@@ -91,9 +91,10 @@ def _max_sum_reference(gain: Sequence[int], factors: Sequence[tuple[tuple[int, i
 
 
 def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
-    """Reference for `_indset._alpha`: the same search, peel order and memo,
-    but each peel finds its vertex by a fresh scan from the lowest bit of
-    `mask` (quadratic per call on a tree labelled root-first).
+    """Reference for `_indset._alpha`'s values: the same branching, but it
+    peels only vertices of degree 0 or 1, and each peel finds its vertex by
+    a fresh scan from the lowest bit of `mask` (quadratic per call on a tree
+    labelled root-first).
     """
     peeled: list[int] = []
     while True:

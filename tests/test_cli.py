@@ -6,6 +6,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -499,6 +501,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "quantum", str(graph), "--rays", str(rays))
         assert code == 1
         assert "7 vertices" in err
+
+    def test_closed_stdout_is_1_without_traceback(self):
+        """The reader goes away after 64 bytes of a 690 KB report."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        argv = [sys.executable, "-m", "kshg.cli", "demo", "clifton", "--n", "2000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": path}) as child:
+            try:
+                head = child.stdout.read(64)
+                child.stdout.close()
+                code = child.wait(timeout=60)
+            finally:
+                child.kill()
+            err = child.stderr.read().decode()
+        assert head.startswith(b"command = demo\n")
+        assert "Traceback" not in err
+        assert (code, err) == (1, "error: standard output closed before the output was complete\n")
 
 
 class TestRepeatedCalls:

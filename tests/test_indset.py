@@ -1,5 +1,5 @@
 """Tests for the bitmask independent-set engine against its references: the
-include-first enumeration, the scan-peel search (same memo), and a tree DP
+include-first enumeration, the degree-0/1 scan-peel search, and a tree DP
 for large sparse graphs."""
 
 import random
@@ -14,6 +14,7 @@ from kshg import (
     HyperEdge,
     HyperGraph,
     classical_bound,
+    closed_form_independence,
     family_bound,
     generate,
     max_independent_set,
@@ -46,11 +47,11 @@ def relabel(n, edges, labelling, rng):
 @st.composite
 def small_graphs(draw):
     """At most 20 vertices: a random graph, a forest, or a random core with
-    pendant paths hung on it, under one of three labellings. Returns the
-    vertex count, the edges and whether the drawing is a forest."""
+    pendant paths or triangles hung on it, under one of three labellings.
+    Returns the vertex count, the edges and whether the drawing is a forest."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(0, 20))
-    shape = draw(st.sampled_from(("random", "forest", "pendant")))
+    shape = draw(st.sampled_from(("random", "forest", "pendant", "triangles")))
     labelling = draw(st.sampled_from(("identity", "reversed", "shuffled")))
     core = n if shape == "random" else 0 if shape == "forest" else rng.randint(0, n)
     density = rng.random()
@@ -58,6 +59,9 @@ def small_graphs(draw):
     for v in range(max(core, 1), n):
         if shape == "pendant" and v > core and rng.random() < 0.7:
             edges.append((v - 1, v))  # extend the current path
+        elif shape == "triangles" and edges and rng.random() < 0.7:
+            i, j = rng.choice(edges)  # close a triangle on an earlier edge
+            edges += [(i, v), (j, v)]
         elif rng.random() < 0.9:
             edges.append((rng.randrange(v), v))  # a forest leaves some roots
     return n, relabel(n, edges, labelling, rng), shape == "forest"
@@ -80,6 +84,13 @@ def interleaved_unions(draw):
                 dealt += 1
     edges = [(own[i], own[j]) for own, (_, part_edges, _) in zip(labels, parts) for i, j in part_edges]
     return dealt, edges, [(own, part_edges) for own, (_, part_edges, _) in zip(labels, parts)]
+
+
+def induced(adj, mask):
+    """Adjacency of the subgraph induced by `mask`, its vertices renumbered
+    in index order."""
+    index = {v: i for i, v in enumerate(v for v in range(len(adj)) if mask >> v & 1)}
+    return [sum(1 << index[u] for u in index if adj[v] >> u & 1) for v in index]
 
 
 def parent_witness_memo(alpha, adj):
@@ -155,8 +166,16 @@ class TestBranchSearch:
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs())
     def test_alpha_leaves_the_scan_reference_memo(self, graph):
+        """Every mask that `_alpha` caches over a witness loop holds its
+        brute-force independence number, and the top-level answer is the
+        scan-peel reference's. The masks themselves differ from the
+        reference's: the triangle peel removes three vertices at a time."""
         adj = _indset.adjacency_masks(*graph[:2])
-        assert parent_witness_memo(_indset._alpha, adj) == parent_witness_memo(_scan_alpha, adj)
+        closed = closed_masks(adj)
+        full = (1 << len(adj)) - 1
+        assert _indset._alpha(adj, closed, full, {}) == _scan_alpha(adj, closed, full, {})
+        for mask, value in parent_witness_memo(_indset._alpha, adj).items():
+            assert value == _indset.brute_force_search(induced(adj, mask))[0]
 
     @pytest.mark.parametrize("spec", [
         FamilySpec("fractal-tree", k=7),
@@ -170,12 +189,46 @@ class TestBranchSearch:
         FamilySpec("square-lattice", mx=5, my=5),
     ])
     def test_family_memo_matches_scan_reference(self, spec):
+        """The answer and every cached mask's value equal the scan-peel
+        reference's. The reference keeps a memo of its own across the masks:
+        a fresh one per mask takes minutes on torus 3x200."""
         adj = family_adjacency(spec)
         closed = closed_masks(adj)
         full = (1 << len(adj)) - 1
         memo, reference = {}, {}
         assert _indset._alpha(adj, closed, full, memo) == _scan_alpha(adj, closed, full, reference)
-        assert memo == reference
+        for mask, value in memo.items():
+            assert value == _scan_alpha(adj, closed, mask, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_relabelling_keeps_the_size(self, graph, data):
+        """Peel and branch order follow the labels; the size must not, and
+        each labelling's witness is its own brute-force witness."""
+        n, edges, _ = graph
+        perm = data.draw(st.permutations(range(n)))
+        sizes = set()
+        for labelled in (edges, [(perm[i], perm[j]) for i, j in edges]):
+            adj = _indset.adjacency_masks(n, labelled)
+            result = _indset.branch_search(adj)
+            assert result == _indset.brute_force_search(adj)
+            sizes.add(result[0])
+        assert len(sizes) == 1
+
+    @pytest.mark.parametrize("labelling", ("identity", "reversed", "shuffled"))
+    @pytest.mark.parametrize("k", (5, 6, 7, 8))
+    def test_fractal_cyclic_matches_closed_form_under_any_labels(self, k, labelling):
+        """The fractal's outer triangle corners have degree 2 and adjacent
+        neighbours, so the triangle peel takes it apart under any labels;
+        with degree-0/1 peels alone, reversed labels at k=7 branched for
+        more than 30 s."""
+        spec = FamilySpec("fractal-cyclic", k=k)
+        h = generate(spec)
+        n = h.vertex_count
+        adj = _indset.adjacency_masks(n, relabel(n, [(e.i, e.j) for e in h.edges], labelling, random.Random(k)))
+        size, witness = _indset.branch_search(adj)
+        assert size == len(witness) == closed_form_independence(spec)
+        assert not any(adj[v] >> u & 1 for u in witness for v in witness)
 
 
 def random_tree(rng, n):
