@@ -144,21 +144,72 @@ def independence_number(adj: Sequence[int]) -> int:
     return _alpha(adj, closed, (1 << n) - 1, {})
 
 
+def _max_set(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
+    """A maximum independent set of `mask`, as a bitmask, read back from a
+    memo in which `_alpha` has solved `mask`.
+
+    The replay makes `_alpha`'s choices in `_alpha`'s order: it peels the
+    lowest peelable vertex, splits the components, and at each branch vertex
+    follows the side whose memoised value gives the maximum. So every branch
+    mask it reaches is one that `_alpha` solved, and only one side of each
+    branch is walked. The memo is read strictly: a mask that `_alpha` did not
+    solve raises KeyError instead of reading as 0.
+    """
+    chosen = 0
+    stack = [(mask, mask)]
+    while stack:
+        mask, pending = stack.pop()
+        while mask:
+            pending &= mask
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                neighbour = adj[bit.bit_length() - 1] & mask
+                degree = neighbour.bit_count()
+                if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
+                    chosen |= bit
+                    mask ^= bit | neighbour
+                    if neighbour:
+                        pending |= adj[neighbour.bit_length() - 1] | adj[(neighbour & -neighbour).bit_length() - 1]
+                    break
+            else:  # no vertex is left to peel
+                comps = _components(adj, mask)
+                if len(comps) > 1:
+                    stack += [(comp, 0) for comp in comps]
+                    break
+                v = _branch_vertex(adj, mask)
+                taken = mask & ~closed[v]
+                if 1 + (cache[taken] if taken else 0) >= cache[mask ^ (1 << v)]:
+                    chosen |= 1 << v
+                    mask = taken
+                else:
+                    mask ^= 1 << v
+                pending = mask  # one side of each branch is walked, so checking all again is cheap
+    return chosen
+
+
 def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     """Exact size plus the lexicographically smallest maximum independent set.
 
-    The witness is rebuilt greedily: the lowest remaining candidate joins it
-    exactly when some maximum set of the candidates contains it, which
-    yields the smallest witness under sorted-list comparison. A candidate
-    that `_alpha` would peel (degree 0 or 1 among the candidates, or degree
-    2 with adjacent neighbours) always does, so it joins without a search.
-    Any other candidate `v` is decided inside its connected
+    The witness is rebuilt greedily: the lowest remaining candidate `v`
+    joins it exactly when some maximum set of the candidates contains it,
+    which yields the smallest witness under sorted-list comparison. One
+    maximum set `best` of the candidates vouches for most of them: when
+    `best` holds `v`, or exactly one of `v`'s neighbours, which `v` can
+    replace there, `v` joins with no search. Only when `best` holds two or
+    more of its neighbours is `v` decided by a search, inside its connected
     component `K` among the candidates, which holds `v`'s whole
-    neighbourhood: `v` joins exactly when `1 + alpha(K - N[v]) == alpha(K)`,
-    since every other component keeps its value either way. `alpha(K)` is
-    the size still to find when `K` is all the candidates, and one search
-    otherwise. So on a sparse graph each check searches one component, not
-    everything that is left.
+    neighbourhood: `v` joins exactly when `1 + alpha(K - N[v])` equals
+    `alpha(K)`, the size of `best` inside `K`. Every other component keeps
+    its value either way, so on a sparse graph each check searches one
+    component, not everything that is left. When `v` joins so, `best` is
+    rebuilt inside `K` from the search just made.
+
+    `best` is built by `_max_set` from the top-level search, and only when
+    first needed: until then the lowest candidate is the vertex `_alpha`
+    peeled first (degree 0 or 1 among the candidates, or degree 2 with
+    adjacent neighbours), which is in some maximum set, so the candidates
+    are still a mask that `_alpha` solved.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
@@ -166,22 +217,28 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     total = _alpha(adj, closed, (1 << n) - 1, cache)
     witness: list[int] = []
     candidates = (1 << n) - 1
+    best = None
     while candidates:
         bit = candidates & -candidates
         v = bit.bit_length() - 1
         near = closed[v] & candidates  # v and its neighbours among the candidates
-        size = near.bit_count()
-        # v is the lowest of `near`, so with two neighbours the highest one's
-        # closed neighbourhood misses the other exactly when they are not adjacent.
-        if size > 3 or size == 3 and near & ~closed[near.bit_length() - 1]:
-            component = _component(adj, candidates, near)
-            if component == candidates:
-                best = total - len(witness)
+        if best is None:
+            size = near.bit_count()
+            # v is the lowest of `near`, so with two neighbours the highest one's
+            # closed neighbourhood misses the other exactly when they are not adjacent.
+            if size > 3 or size == 3 and near & ~closed[near.bit_length() - 1]:
+                best = _max_set(adj, closed, candidates, cache)
+        if best is not None:
+            rivals = near & best  # v itself, or its neighbours in `best`
+            if rivals & (rivals - 1):
+                component = _component(adj, candidates, near)
+                rest = component & ~near
+                if 1 + _alpha(adj, closed, rest, cache) != (best & component).bit_count():
+                    candidates ^= bit
+                    continue
+                best = best & ~component | _max_set(adj, closed, rest, cache)
             else:
-                best = _alpha(adj, closed, component, cache)
-            if 1 + _alpha(adj, closed, component & ~near, cache) != best:
-                candidates ^= bit
-                continue
+                best ^= rivals
         witness.append(v)
         candidates &= ~near
     return total, witness

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from . import _indset
@@ -55,7 +56,8 @@ class HyperGraph:
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValidationError(f"vertex count must be positive, got {self.vertex_count}")
-        canonical = tuple(sorted(self.edges))
+        # the order of HyperEdge's generated __lt__, with the key computed in C
+        canonical = tuple(sorted(self.edges, key=attrgetter("i", "j", "weight")))
         object.__setattr__(self, "edges", canonical)
         seen: set[tuple[int, int]] = set()
         for e in canonical:

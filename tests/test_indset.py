@@ -1,6 +1,6 @@
 """Tests for the bitmask independent-set engine against its references: the
 include-first enumeration, the degree-0/1 scan-peel search, and a tree DP
-for large sparse graphs."""
+for large sparse graphs; and for the memo replay behind the witness."""
 
 import random
 import tracemalloc
@@ -214,6 +214,66 @@ class TestBranchSearch:
             assert result == _indset.brute_force_search(adj)
             sizes.add(result[0])
         assert len(sizes) == 1
+
+    @pytest.mark.parametrize("spec, labelling, replays", [
+        (FamilySpec("fractal-tree", k=8), "identity", 1),
+        (FamilySpec("fractal-tree", k=10), "identity", 1),
+        (FamilySpec("linear", k=200), "identity", 0),
+        (FamilySpec("fractal-cyclic", k=7), "reversed", 0),
+    ])
+    def test_witness_searches_only_where_the_maximum_set_cannot_vouch(
+            self, monkeypatch, spec, labelling, replays):
+        """A generated fractal tree's maximum set is unique, so the replayed
+        one vouches for every candidate and no search runs after the
+        top-level one. Every lowest candidate of a path or of a reversed
+        fractal-cyclic graph peels, so they replay nothing."""
+        alpha, max_set = _indset._alpha, _indset._max_set
+        searches, replayed = [], []
+        depth = 0
+
+        def spy_alpha(*args):
+            nonlocal depth
+            if not depth:
+                searches.append(args[2])
+            depth += 1
+            try:
+                return alpha(*args)
+            finally:
+                depth -= 1
+
+        def spy_max_set(*args):
+            replayed.append(args[2])
+            return max_set(*args)
+
+        monkeypatch.setattr(_indset, "_alpha", spy_alpha)
+        monkeypatch.setattr(_indset, "_max_set", spy_max_set)
+        h = generate(spec)
+        n = h.vertex_count
+        adj = _indset.adjacency_masks(n, relabel(n, [(e.i, e.j) for e in h.edges], labelling, None))
+        size, witness = _indset.branch_search(adj)
+        assert size == len(witness) == closed_form_independence(spec)
+        assert searches == [(1 << n) - 1]
+        assert len(replayed) == replays
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_max_set_replays_a_maximum_set(self, graph, data):
+        adj = _indset.adjacency_masks(*graph[:2])
+        closed = closed_masks(adj)
+        mask = data.draw(st.integers(0, (1 << len(adj)) - 1))
+        cache = {}
+        size = _indset._alpha(adj, closed, mask, cache)
+        chosen = _indset._max_set(adj, closed, mask, cache)
+        assert chosen & ~mask == 0
+        assert not any(adj[v] & chosen for v in range(len(adj)) if chosen >> v & 1)
+        assert chosen.bit_count() == size
+
+    def test_max_set_reads_the_memo_strictly(self):
+        """Torus 4x4 has no vertex to peel, so the replay's first branch
+        reads the memo, and an empty one raises instead of reading as 0."""
+        adj = family_adjacency(FamilySpec("torus-lattice", mx=4, my=4))
+        with pytest.raises(KeyError):
+            _indset._max_set(adj, closed_masks(adj), (1 << len(adj)) - 1, {})
 
     @pytest.mark.parametrize("labelling", ("identity", "reversed", "shuffled"))
     @pytest.mark.parametrize("k", (5, 6, 7, 8))
