@@ -47,6 +47,43 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
+def _peel(adj: Sequence[int], closed: Sequence[int], mask: int, pending: int) -> tuple[int, int, list[int]]:
+    """Peel `mask` until none of its vertices can be peeled.
+
+    A vertex of degree at most 2 whose neighbours are adjacent (degree 0, a
+    leaf, or a corner of a triangle) belongs to some maximum set: its
+    neighbourhood is a clique, so a maximum set holds at most one of its
+    neighbours and can swap it for the vertex. Each peel removes the lowest
+    such vertex with its neighbourhood. Higher-degree clique neighbourhoods
+    are not checked: on sparse graphs they are rare and the check would
+    cost every degree-3 vertex.
+
+    A vertex needs a new check only when a neighbour is removed, so
+    `pending` must hold every peelable vertex of `mask`, and each peel adds
+    the neighbours of what it removes. It is checked lowest first, so each
+    hit is the lowest peelable vertex. Returns the rest, the peeled
+    vertices as a bitmask, and the mask before each peel, in order.
+    """
+    chosen = 0
+    peeled: list[int] = []
+    pending &= mask
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        neighbour = adj[bit.bit_length() - 1] & mask
+        degree = neighbour.bit_count()
+        # With two neighbours, the higher one's closed neighbourhood
+        # holds the lower one exactly when they are adjacent.
+        if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
+            peeled.append(mask)
+            chosen |= bit
+            mask ^= bit | neighbour
+            if neighbour:
+                pending = (pending | adj[neighbour.bit_length() - 1]
+                           | adj[(neighbour & -neighbour).bit_length() - 1]) & mask
+    return mask, chosen, peeled
+
+
 def _alpha(
     adj: Sequence[int],
     closed: Sequence[int],
@@ -56,67 +93,39 @@ def _alpha(
 ) -> int:
     """Independence number of the subgraph induced by `mask`.
 
-    A vertex of degree at most 2 whose neighbours are adjacent (degree 0, a
-    leaf, or a corner of a triangle) belongs to some optimum: its
-    neighbourhood is a clique, so any optimum holds at most one of its
-    neighbours and can swap it for the vertex. Such vertices are peeled
-    greedily in a loop, lowest index first, removing each with its
-    neighbourhood and caching the value of every peeled mask; otherwise the
-    graph is split into connected components and the search branches on a
-    highest-degree vertex. Higher-degree clique neighbourhoods are not
-    checked: on sparse graphs they are rare and the check would cost every
-    degree-3 vertex.
+    `_peel` takes the vertices that some optimum holds; the rest is split
+    into connected components, or the search branches on a highest-degree
+    vertex. The value of every peeled mask and of the rest is cached. The
+    memo is read only at the two ends of the peel chain: a mask inside it
+    was cached by an earlier chain through it, which took the same peels
+    (always the lowest peelable vertex) and so cached the same rest.
 
-    A vertex's neighbourhood in `mask` changes only when a neighbour is
-    removed, so it needs a new check only then. `pending` holds the
-    vertices not yet checked, and so every vertex that can be peeled; it
-    is checked lowest first, so the first hit is the lowest such vertex.
-    It starts as `touched` (all of `mask` by default): a caller that knows
-    `mask` had no vertex to peel before it removed some vertices passes
-    their neighbours.
+    `touched` (all of `mask` by default) is the `pending` set of the peel: a
+    caller that knows `mask` had no vertex to peel before it removed some
+    vertices passes their neighbours.
     """
-    peeled: list[int] = []
-    pending = touched & mask
-    while True:
-        if mask == 0:
-            result = 0
-            break
-        hit = cache.get(mask)
-        if hit is not None:
-            result = hit
-            break
-        pending &= mask
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            neighbour = adj[bit.bit_length() - 1] & mask
-            degree = neighbour.bit_count()
-            # With two neighbours, the higher one's closed neighbourhood
-            # holds the lower one exactly when they are adjacent.
-            if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
-                peeled.append(mask)
-                mask ^= bit | neighbour
-                if neighbour:
-                    pending |= adj[neighbour.bit_length() - 1] | adj[(neighbour & -neighbour).bit_length() - 1]
-                break
-        else:  # no vertex is left to peel
-            comps = _components(adj, mask)
-            if len(comps) > 1:
-                result = sum(_alpha(adj, closed, comp, cache, 0) for comp in comps)
-            else:
-                v = _branch_vertex(adj, mask)
-                taken = mask & ~closed[v]
-                near = 0  # the vertices whose degree the taken branch lowers
-                nb = adj[v] & mask
-                while nb:
-                    near |= adj[(nb & -nb).bit_length() - 1]
-                    nb &= nb - 1
-                result = max(
-                    1 + _alpha(adj, closed, taken, cache, near),
-                    _alpha(adj, closed, mask ^ (1 << v), cache, adj[v]),
-                )
-            cache[mask] = result
-            break
+    result = cache.get(mask) if mask else 0
+    if result is not None:
+        return result
+    mask, _, peeled = _peel(adj, closed, mask, touched)
+    result = cache.get(mask) if mask else 0
+    if result is None:
+        comps = _components(adj, mask)
+        if len(comps) > 1:
+            result = sum(_alpha(adj, closed, comp, cache, 0) for comp in comps)
+        else:
+            v = _branch_vertex(adj, mask)
+            taken = mask & ~closed[v]
+            near = 0  # the vertices whose degree the taken branch lowers
+            nb = adj[v] & mask
+            while nb:
+                near |= adj[(nb & -nb).bit_length() - 1]
+                nb &= nb - 1
+            result = max(
+                1 + _alpha(adj, closed, taken, cache, near),
+                _alpha(adj, closed, mask ^ (1 << v), cache, adj[v]),
+            )
+        cache[mask] = result
     for m in reversed(peeled):
         result += 1
         cache[m] = result
@@ -148,43 +157,32 @@ def _max_set(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[i
     """A maximum independent set of `mask`, as a bitmask, read back from a
     memo in which `_alpha` has solved `mask`.
 
-    The replay makes `_alpha`'s choices in `_alpha`'s order: it peels the
-    lowest peelable vertex, splits the components, and at each branch vertex
-    follows the side whose memoised value gives the maximum. So every branch
-    mask it reaches is one that `_alpha` solved, and only one side of each
-    branch is walked. The memo is read strictly: a mask that `_alpha` did not
-    solve raises KeyError instead of reading as 0.
+    The replay makes `_alpha`'s choices in `_alpha`'s order: it peels,
+    splits the components, and at each branch vertex follows the side whose
+    memoised value gives the maximum. So every branch mask it reaches is one
+    that `_alpha` solved, and only one side of each branch is walked. The
+    memo is read strictly: a mask that `_alpha` did not solve raises
+    KeyError instead of reading as 0.
     """
     chosen = 0
     stack = [(mask, mask)]
     while stack:
         mask, pending = stack.pop()
-        while mask:
-            pending &= mask
-            while pending:
-                bit = pending & -pending
-                pending ^= bit
-                neighbour = adj[bit.bit_length() - 1] & mask
-                degree = neighbour.bit_count()
-                if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
-                    chosen |= bit
-                    mask ^= bit | neighbour
-                    if neighbour:
-                        pending |= adj[neighbour.bit_length() - 1] | adj[(neighbour & -neighbour).bit_length() - 1]
-                    break
-            else:  # no vertex is left to peel
-                comps = _components(adj, mask)
-                if len(comps) > 1:
-                    stack += [(comp, 0) for comp in comps]
-                    break
-                v = _branch_vertex(adj, mask)
-                taken = mask & ~closed[v]
-                if 1 + (cache[taken] if taken else 0) >= cache[mask ^ (1 << v)]:
-                    chosen |= 1 << v
-                    mask = taken
-                else:
-                    mask ^= 1 << v
-                pending = mask  # one side of each branch is walked, so checking all again is cheap
+        while True:
+            mask, peeled, _ = _peel(adj, closed, mask, pending)
+            chosen |= peeled
+            comps = _components(adj, mask)
+            if len(comps) != 1:  # none left, or split
+                stack += [(comp, 0) for comp in comps]
+                break
+            v = _branch_vertex(adj, mask)
+            taken = mask & ~closed[v]
+            if 1 + (cache[taken] if taken else 0) >= cache[mask ^ (1 << v)]:
+                chosen |= 1 << v
+                mask = taken
+            else:
+                mask ^= 1 << v
+            pending = mask  # one side of each branch is walked, so checking all again is cheap
     return chosen
 
 
@@ -206,10 +204,11 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     rebuilt inside `K` from the search just made.
 
     `best` is built by `_max_set` from the top-level search, and only when
-    first needed: until then the lowest candidate is the vertex `_alpha`
-    peeled first (degree 0 or 1 among the candidates, or degree 2 with
-    adjacent neighbours), which is in some maximum set, so the candidates
-    are still a mask that `_alpha` solved.
+    first needed: until then the lowest candidate is the vertex that
+    `_peel` took first, which is in some maximum set, so the candidates are
+    still a mask that `_alpha` solved. Whether `v` can be peeled is
+    `_peel`'s own test, run on `v` and its neighbours alone: it leaves
+    nothing exactly when it peels `v`.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
@@ -222,12 +221,8 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
         bit = candidates & -candidates
         v = bit.bit_length() - 1
         near = closed[v] & candidates  # v and its neighbours among the candidates
-        if best is None:
-            size = near.bit_count()
-            # v is the lowest of `near`, so with two neighbours the highest one's
-            # closed neighbourhood misses the other exactly when they are not adjacent.
-            if size > 3 or size == 3 and near & ~closed[near.bit_length() - 1]:
-                best = _max_set(adj, closed, candidates, cache)
+        if best is None and _peel(adj, closed, near, bit)[0]:
+            best = _max_set(adj, closed, candidates, cache)
         if best is not None:
             rivals = near & best  # v itself, or its neighbours in `best`
             if rivals & (rivals - 1):

@@ -35,10 +35,10 @@ ENUM_LOW_BITS = 12
 # table holds 2^(width + 1) entries. `_conditioned` splits wider graphs down to it.
 CORE_MAX_WIDTH = 16
 # Most subproblems holding a factor that `mis_oracle` conditions a wide graph
-# into; each may take a second (complete k=21 w=1 needs all 16, in 7 s).
+# into; each may take a second (complete k=21 w=1 needs all 16, in about 5 s).
 MAX_CONDITIONED_SUBPROBLEMS = 16
 # Most expanded vertices that `kshg expand` and `kshg demo` build: a weight-20000
-# edge (120,002 vertices) takes 0.73 s and 97 MB, so this is about 0.8 GB.
+# edge (120,002 vertices) takes 0.4-0.5 s and 105 MB, so this is about 0.8 GB.
 EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
@@ -120,7 +120,8 @@ class ExpandedGraph:
     edges: frozenset[tuple[int, int]]
     bases: tuple[tuple[int, int, int], ...]
     fragments: tuple[Fragment, ...] = ()
-    # `_core_count` of a graph from `_assembled`; None means not yet checked.
+    # Core count of a graph from `_assembled`, whose fragments describe it;
+    # None for any other graph, which `mis_oracle` solves over every vertex.
     _assembled_cores: ClassVar[int | None] = None
 
     def __post_init__(self) -> None:
@@ -140,7 +141,8 @@ class ExpandedGraph:
     def _assembled(cls, vertices, edges, bases, fragments, core_count: int) -> ExpandedGraph:
         """A graph relabelled from `_gadget` layouts by `_assemble`.
 
-        It is valid by construction, and `core_count` is its `_core_count`.
+        It is valid by construction, its first `core_count` vertices are the
+        cores, and its fragments describe the rest exactly.
         """
         g = object.__new__(cls)
         # a frozen dataclass: write the fields as its generated __init__ would
@@ -450,31 +452,6 @@ def _gadget_table(weight: int) -> tuple[float, ...]:
     return tuple(_max_sum([0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges], order, kept=2))
 
 
-def _core_count(g: ExpandedGraph) -> int | None:
-    """Number of cores when `g.fragments` describe `g` exactly, else None.
-
-    Exactly means: the first k vertices are `CoreVertex(0..k-1)`, each
-    fragment joins two distinct cores (no pair twice) and owns the next
-    contiguous block of 6n vertices, every edge of its relabelled `_gadget`
-    layout is in `g.edges`, and those edges are all of `g.edges`.
-    """
-    k = len(g.vertices) - 6 * sum(f.weight for f in g.fragments)
-    if k < 0 or not all(type(v) is CoreVertex and v.index == i for i, v in enumerate(g.vertices[:k])):
-        return None
-    if len({f.endpoints for f in g.fragments}) != len(g.fragments):
-        return None
-    relabelled: list[tuple[int, int]] = []
-    start = k
-    for f in g.fragments:
-        i, j = f.endpoints
-        order = (i, j, *range(start, start + 6 * f.weight))
-        if not 0 <= i < j < k or f.vertex_indices != order:
-            return None
-        relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
-        start += 6 * f.weight
-    return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
-
-
 def _elimination_order(n: int, pairs: Iterable[tuple[int, int]], kept: int = 0) -> list[int] | None:
     """Min-degree elimination order of the graph on n vertices, skipping the
     first `kept`, or None when eliminating would leave a vertex with more
@@ -628,17 +605,17 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     Flipping one endpoint of a doubly-selected edge never decreases the
     expression, so its maximum is attained on an independent set and equals
     the independence number. A gadget meets the rest of the graph only at
-    its two cores, so when the fragments describe `g` the search runs over
-    the core states with one `_gadget_table` per fragment (`expand` records
-    that they do; any other graph is checked by `_core_count`). Otherwise every
-    vertex is a core and every edge a weight-0 gadget. `_conditioned` plans
-    either problem as parts of width at most `CORE_MAX_WIDTH` (one part when
-    it fits, at most `MAX_CONDITIONED_SUBPROBLEMS` that hold a factor, or
+    its two cores, so on a graph from `expand` or `expand_hyper_edge`, whose
+    fragments describe it, the search runs over the core states with one
+    `_gadget_table` per fragment. On any other graph every vertex is a core
+    and every edge a weight-0 gadget. `_conditioned` plans either problem
+    as parts of width at most `CORE_MAX_WIDTH` (one part when it fits, at
+    most `MAX_CONDITIONED_SUBPROBLEMS` that hold a factor, or
     `CapacityError` before any table is built), and `_max_sum` eliminates
     each part. `max_vertices` limits the expanded vertex count either way.
     """
     check_search_capacity(len(g.vertices), max_vertices)
-    k = g._assembled_cores if g._assembled_cores is not None else _core_count(g)
+    k = g._assembled_cores
     if k is None:
         gain, factors = [1] * len(g.vertices), [(pair, _gadget_table(0)) for pair in g.sorted_edges]
     else:

@@ -26,6 +26,7 @@ PARALLEL_TOLERANCE = 1e-9
 WEIGHT_BOUNDARY_TOLERANCE = 1e-9
 DEFAULT_MIS_LIMIT = 64
 
+
 @dataclass(frozen=True, order=True)
 class HyperEdge:
     """Weighted link between vertices i < j."""
@@ -280,6 +281,7 @@ def closed_form_independence(spec: FamilySpec) -> int:
     """Independence number of the family instance by closed formula."""
     entry, values = _lookup(spec)
     return entry.alpha(*values)
+
 
 def family_weights(spec: FamilySpec, edge_count: int) -> list[int]:
     """Per-edge weights of `spec` in construction order, one per family edge."""

@@ -6,6 +6,7 @@ from typing import Sequence
 
 from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
 from kshg._indset import _alpha, _components
+from kshg.expansion import _gadget
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -88,6 +89,32 @@ def _max_sum_reference(gain: Sequence[int], factors: Sequence[tuple[tuple[int, i
         key = sum(x[v] << v for v in range(kept))
         table[key] = max(table[key], value)
     return table
+
+
+def _fragment_core_count(g: ExpandedGraph) -> int | None:
+    """Reference for `ExpandedGraph._assembled_cores`: the number of cores
+    when `g.fragments` describe `g` exactly, else None.
+
+    Exactly means: the first k vertices are `CoreVertex(0..k-1)`, each
+    fragment joins two distinct cores (no pair twice) and owns the next
+    contiguous block of 6n vertices, every edge of its relabelled `_gadget`
+    layout is in `g.edges`, and those edges are all of `g.edges`.
+    """
+    k = len(g.vertices) - 6 * sum(f.weight for f in g.fragments)
+    if k < 0 or not all(type(v) is CoreVertex and v.index == i for i, v in enumerate(g.vertices[:k])):
+        return None
+    if len({f.endpoints for f in g.fragments}) != len(g.fragments):
+        return None
+    relabelled: list[tuple[int, int]] = []
+    start = k
+    for f in g.fragments:
+        i, j = f.endpoints
+        order = (i, j, *range(start, start + 6 * f.weight))
+        if not 0 <= i < j < k or f.vertex_indices != order:
+            return None
+        relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
+        start += 6 * f.weight
+    return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
 
 
 def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import _gray_walk_max, _max_sum_reference
+from _fixtures import _fragment_core_count, _gray_walk_max, _max_sum_reference
 
 from kshg import (
     Assignment,
@@ -540,6 +540,8 @@ class TestMisOracle:
         assert len(calls) == orders
 
     def test_graph_unlike_its_fragments_falls_back(self, monkeypatch):
+        """A hand-built graph takes the whole-graph route, every vertex a
+        variable, whether or not its fragments describe it."""
         triangle = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
         p0, q0 = triangle.aux_index(0, "p", 0), triangle.aux_index(0, "q", 0)
         dropped = ExpandedGraph(triangle.vertices, triangle.edges - {(p0, q0)}, (), triangle.fragments)
@@ -552,14 +554,15 @@ class TestMisOracle:
         doubled = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(0, 1), (2, 3)}), (),
                                 (expansion.Fragment(0, (0, 1), 0, (0, 1), ()),) * 2)
         hand_built = [(dropped, 8), (swapped, 8), (extra, 5), (bare, 6), (doubled, 2)]
-        assert [expansion._core_count(g) for g in (triangle, path)] == [3, 3]
+        assert [_fragment_core_count(g) for g in (triangle, path)] == [3, 3]
         for g, expected in hand_built:
-            assert expansion._core_count(g) is None
+            assert _fragment_core_count(g) is None
             assert _indset.independence_number(g.adjacency_masks) == expected
-        calls = self._spy(monkeypatch)
+        calls, split = self._spy(monkeypatch), self._spy_conditioning(monkeypatch)
         assert (mis_oracle(triangle), mis_oracle(path)) == (7, 6)
         assert [mis_oracle(g) for g, _ in hand_built] == [expected for _, expected in hand_built]
         assert calls == []
+        assert [variables for variables, _ in split] == [3, 3] + [len(g.vertices) for g, _ in hand_built]
 
 
 @st.composite
@@ -640,7 +643,7 @@ class TestConditioning:
 
     def test_all_vertex_route_conditions(self, monkeypatch):
         g = self._bare(FamilySpec("torus-lattice", mx=8, my=8))
-        assert expansion._core_count(g) is None
+        assert g._assembled_cores is None
         split = TestMisOracle._spy_conditioning(monkeypatch)
         value = mis_oracle(g, max_vertices=len(g.vertices))
         assert type(value) is int
@@ -672,7 +675,8 @@ class TestConditioning:
 
 class TestAssembledGraphs:
     """`expand` and `expand_hyper_edge` skip the constructor's check and carry
-    their core count; every other graph is checked and carries none."""
+    their core count; every other graph is checked, carries none, and takes
+    `mis_oracle`'s whole-graph route."""
 
     @staticmethod
     def _rebuilt(g: ExpandedGraph) -> ExpandedGraph:
@@ -683,14 +687,23 @@ class TestAssembledGraphs:
     def test_expansions_pass_the_public_check(self, h):
         g = expand(h)
         assert g._assembled_cores == h.vertex_count
-        assert expansion._core_count(self._rebuilt(g)) == g._assembled_cores
+        assert _fragment_core_count(self._rebuilt(g)) == g._assembled_cores
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs())
+    def test_whole_graph_route_matches_the_core_route(self, h):
+        g = expand(h)
+        copied = dataclasses.replace(g)
+        assert copied._assembled_cores is None
+        n = len(g.vertices)
+        assert mis_oracle(copied, max_vertices=n) == mis_oracle(g, max_vertices=n)
 
     @pytest.mark.parametrize("weight", range(7))
     @pytest.mark.parametrize("edge_id", (0, 5))
     def test_gadgets_pass_the_public_check(self, weight, edge_id):
         g = expand_hyper_edge(weight, edge_id)
         assert g._assembled_cores == 2
-        assert expansion._core_count(self._rebuilt(g)) == 2
+        assert _fragment_core_count(self._rebuilt(g)) == 2
 
     def test_public_and_replaced_graphs_are_checked(self, monkeypatch):
         g = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
@@ -698,11 +711,9 @@ class TestAssembledGraphs:
         rebuilt, copied = self._rebuilt(g), dataclasses.replace(g)
         dropped = dataclasses.replace(g, edges=g.edges - {(p0, q0)}, bases=())
         assert [x._assembled_cores for x in (rebuilt, copied, dropped)] == [None] * 3
-        counted = []
-        count = expansion._core_count
-        monkeypatch.setattr(expansion, "_core_count", lambda x: counted.append(x) or count(x))
+        split = TestMisOracle._spy_conditioning(monkeypatch)
         assert [mis_oracle(x) for x in (g, rebuilt, copied, dropped)] == [7, 7, 7, 8]
-        assert counted == [rebuilt, copied, dropped]
+        assert [variables for variables, _ in split] == [3] + [len(g.vertices)] * 3
 
     def test_public_constructor_and_replace_still_check(self):
         g = expand_hyper_edge(1)

@@ -1,6 +1,7 @@
 """Tests for the bitmask independent-set engine against its references: the
 include-first enumeration, the degree-0/1 scan-peel search, and a tree DP
-for large sparse graphs; and for the memo replay behind the witness."""
+for large sparse graphs; and for the peel step and the memo replay
+behind the witness."""
 
 import random
 import tracemalloc
@@ -267,6 +268,43 @@ class TestBranchSearch:
         assert chosen & ~mask == 0
         assert not any(adj[v] & chosen for v in range(len(adj)) if chosen >> v & 1)
         assert chosen.bit_count() == size
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_graphs(), data=st.data())
+    def test_peel_takes_the_lowest_vertex_some_maximum_set_holds(self, graph, data):
+        """Each peel removes the lowest peelable vertex `v` of its mask with
+        its neighbourhood, `1 + alpha(mask - N[v]) == alpha(mask)` by brute
+        force, and the rest has no vertex left to peel. Any `pending` that
+        holds every peelable vertex gives the same chain."""
+        adj = _indset.adjacency_masks(*graph[:2])
+        closed = closed_masks(adj)
+        n = len(adj)
+
+        def alpha(mask):
+            return _indset.brute_force_search(induced(adj, mask))[0]
+
+        def peelable(mask):
+            """The vertices of `mask` of degree 0 or 1, or of degree 2 with
+            adjacent neighbours, in index order."""
+            found = []
+            for v in range(n):
+                near = [u for u in range(n) if mask >> u & 1 and adj[v] >> u & 1]
+                if mask >> v & 1 and (len(near) <= 1 or len(near) == 2 and adj[near[0]] >> near[1] & 1):
+                    found.append(v)
+            return found
+
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        pending = data.draw(st.integers(0, (1 << n) - 1)) | sum(1 << v for v in peelable(mask))
+        rest, chosen, peeled = _indset._peel(adj, closed, mask, pending)
+        taken = 0
+        for before, after in zip(peeled, peeled[1:] + [rest]):
+            v = peelable(before)[0]
+            assert after == before & ~closed[v]
+            assert 1 + alpha(after) == alpha(before)
+            taken |= 1 << v
+        assert (peeled + [rest])[0] == mask
+        assert chosen == taken
+        assert peelable(rest) == []
 
     def test_max_set_reads_the_memo_strictly(self):
         """Torus 4x4 has no vertex to peel, so the replay's first branch
