@@ -88,9 +88,9 @@ def family_bound(spec: FamilySpec) -> ClassicalBound:
 
 def hypergraph_observable_value(h: HyperGraph, g: ExpandedGraph, a: Assignment) -> int:
     """Sum of core values plus the sum of all edge observables, exactly."""
-    if len(a) != len(g.vertices):
+    if len(a) != g.vertex_count:
         raise ValidationError(
-            f"assignment covers {len(a)} vertices but the expansion has {len(g.vertices)}"
+            f"assignment covers {len(a)} vertices but the expansion has {g.vertex_count}"
         )
     total = sum(a.values[: h.vertex_count])
     for frag in g.fragments:
@@ -138,7 +138,7 @@ def _restrict_assignment(
     Cores map through `old_of_new`; each surviving fragment takes its
     auxiliary values by position from the original fragment of the same edge.
     """
-    values = [0] * len(sub_g.vertices)
+    values = [0] * sub_g.vertex_count
     for new, old in enumerate(old_of_new):
         values[new] = a.values[old]
     for frag in sub_g.fragments:

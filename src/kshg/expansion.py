@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _indset
 from .errors import CapacityError, ValidationError
-from .hypergraph import DEFAULT_MIS_LIMIT, HyperGraph, check_search_capacity
+from .hypergraph import DEFAULT_MIS_LIMIT, HyperGraph, _as_int, check_search_capacity
 
 DEFAULT_BIT_LIMIT = 30
 # Hard ceiling on any bit limit: `_bits` holds adjacency masks in int64.
@@ -113,7 +113,11 @@ class ExpandedGraph:
 
     The constructor (and so `dataclasses.replace`) checks the edges and
     bases. `expand` and `expand_hyper_edge` build through `_assembled`
-    instead, which skips that check and records the core count.
+    instead, which skips that check, records the core count and holds only
+    the fragments and the vertex count: `vertices`, `edges` and `bases`
+    are filled together, by `_fill`, the first time any of them is read.
+    `mis_oracle` and the decomposition check read only the fragments and
+    `vertex_count`, so they never fill a graph from `expand`.
     """
 
     vertices: tuple[ExpandedVertex, ...]
@@ -138,17 +142,22 @@ class ExpandedGraph:
                     raise ValidationError(f"basis {triple} is not a triangle: missing edge {pair}")
 
     @classmethod
-    def _assembled(cls, vertices, edges, bases, fragments, core_count: int) -> ExpandedGraph:
-        """A graph relabelled from `_gadget` layouts by `_assemble`.
+    def _assembled(cls, fragments: tuple[Fragment, ...], core_count: int, vertex_count: int) -> ExpandedGraph:
+        """A graph of `core_count` cores and the gadgets that `fragments` place,
+        as `_assemble` lays them out.
 
         It is valid by construction, its first `core_count` vertices are the
-        cores, and its fragments describe the rest exactly.
+        cores, and its fragments describe the rest exactly. Its other fields
+        are left to `_fill`.
         """
         g = object.__new__(cls)
         # a frozen dataclass: write the fields as its generated __init__ would
-        vars(g).update(vertices=vertices, edges=edges, bases=bases, fragments=fragments,
-                       _assembled_cores=core_count)
+        vars(g).update(fragments=fragments, _assembled_cores=core_count, vertex_count=vertex_count)
         return g
+
+    @cached_property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
@@ -156,7 +165,7 @@ class ExpandedGraph:
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.vertices]
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for i, j in self.sorted_edges:
             out[i].append(j)
             out[j].append(i)
@@ -164,11 +173,11 @@ class ExpandedGraph:
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        return tuple(_indset.adjacency_masks(len(self.vertices), self.edges))
+        return tuple(_indset.adjacency_masks(self.vertex_count, self.edges))
 
     @cached_property
     def bases_of_vertex(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in self.vertices]
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for pos, triple in enumerate(self.bases):
             for v in triple:
                 out[v].append(pos)
@@ -195,6 +204,30 @@ class ExpandedGraph:
             ) from None
 
 
+class _Filled:
+    """A graph field that `_fill` writes on first read, with the other two.
+
+    A non-data descriptor, like `cached_property`: the fill puts all three
+    fields in the instance dict, which then shadows it, so later reads cost
+    what a plain attribute does. A constructed graph has its fields in its
+    dict from the start and never reaches it.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, g: ExpandedGraph | None, owner: type | None = None):
+        if g is None:
+            return self
+        return _fill(g)[self.name]
+
+
+# Installed after the dataclass is made, so that it sees no field defaults.
+for _name in ("vertices", "edges", "bases"):
+    setattr(ExpandedGraph, _name, _Filled(_name))
+del _name
+
+
 @dataclass(frozen=True)
 class Assignment:
     """A 0/1 value per expanded-graph vertex."""
@@ -203,10 +236,17 @@ class Assignment:
 
     def __post_init__(self) -> None:
         values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        for v in values:
-            if v not in (0, 1):
-                raise ValidationError(f"assignment values must be 0 or 1, got {v!r}")
+        try:
+            # bytes() reads each value through `operator.index`, in C
+            plain = bytes(values)
+        except (TypeError, ValueError):  # a value that is no integer, or is outside 0..255
+            plain = None
+        if plain is None or plain.translate(None, b"\0\1"):
+            plain = [_as_int(v, "assignment value") for v in values]
+            bad = next((v for v in plain if v not in (0, 1)), None)
+            if bad is not None:
+                raise ValidationError(f"assignment values must be 0 or 1, got {bad!r}")
+        object.__setattr__(self, "values", tuple(plain))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -277,33 +317,51 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     """Place one gadget per (edge id, i, j, weight) on `vertex_count` shared cores.
 
     The placements join distinct core pairs i < j < `vertex_count`. Each
-    gadget's auxiliary vertices are appended after the previous ones, and
-    its `_gadget` layout is relabelled through the fragment's vertex
-    order. That order increases (i < j < every new vertex), so pairs stay
-    sorted and distinct and bases stay triangles: the graph is valid and its
+    gadget's auxiliary vertices come after the previous ones, and its
+    `_gadget` layout is relabelled through the fragment's vertex order.
+    That order increases (i < j < every new vertex), so pairs stay sorted
+    and distinct and bases stay triangles: the graph is valid and its
     fragments describe it, so it is built with its core count and unchecked.
+    Only the fragments and the vertex count are built here; `_fill` lays
+    out the vertices, edges and bases from them when one is first read.
     """
-    vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(vertex_count)]
+    fragments: list[Fragment] = []
+    n, first_basis = vertex_count, 0
+    for edge_id, i, j, weight in placements:
+        # right by construction, so the fields are written directly, without
+        # the constructor and its length checks, at about half the cost
+        f = object.__new__(Fragment)
+        vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight,
+                       vertex_indices=(i, j, *range(n, n + 6 * weight)),
+                       basis_indices=tuple(range(first_basis, first_basis + 2 * weight)))
+        fragments.append(f)
+        n += 6 * weight
+        first_basis += 2 * weight
+    return ExpandedGraph._assembled(tuple(fragments), vertex_count, n)
+
+
+def _fill(g: ExpandedGraph) -> dict:
+    """Write the vertices, edges and bases of a graph from `_assemble`: the
+    cores, then each fragment's auxiliary vertices, edges and bases, its
+    `_gadget` layout relabelled through the fragment's vertex order.
+    Returns the graph's instance dict."""
+    vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(g._assembled_cores)]
     edges: list[tuple[int, int]] = []
     bases: list[tuple[int, int, int]] = []
-    fragments: list[Fragment] = []
-    for edge_id, i, j, weight in placements:
-        labels, local_edges, local_bases = _gadget(weight)
-        order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
-        first_basis = len(bases)
-        vertices += _aux_vertices(edge_id, labels)
+    for f in g.fragments:
+        labels, local_edges, local_bases = _gadget(f.weight)
+        order = f.vertex_indices
+        vertices += _aux_vertices(f.edge_id, labels)
         edges += [(order[s], order[t]) for s, t in local_edges]
         bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
-        fragments.append(
-            Fragment(edge_id, (i, j), weight, order, tuple(range(first_basis, len(bases))))
-        )
-    return ExpandedGraph._assembled(
-        tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments), vertex_count
-    )
+    fields = vars(g)
+    fields.update(vertices=tuple(vertices), edges=frozenset(edges), bases=tuple(bases))
+    return fields
 
 
 def expand_hyper_edge(weight: int, edge_id: int = 0) -> ExpandedGraph:
     """Standalone gadget for one hyper-edge; the cores are vertices 0 and 1."""
+    weight = _as_int(weight, "hyper-edge weight")
     if weight < 0:
         raise ValidationError(f"hyper-edge weight must be non-negative, got {weight}")
     return _assemble(2, [(edge_id, 0, 1, weight)])
@@ -316,9 +374,9 @@ def expand(h: HyperGraph) -> ExpandedGraph:
 
 def evaluate(g: ExpandedGraph, a: Assignment) -> int:
     """Sum of vertex values minus the sum of edge products, as an exact integer."""
-    if len(a) != len(g.vertices):
+    if len(a) != g.vertex_count:
         raise ValidationError(
-            f"assignment covers {len(a)} vertices but the graph has {len(g.vertices)}"
+            f"assignment covers {len(a)} vertices but the graph has {g.vertex_count}"
         )
     values = a.values
     total = sum(values)
@@ -349,6 +407,14 @@ def _bits(values, width: int) -> np.ndarray:
     return ((column >> np.arange(width)) & 1).astype(np.float32)
 
 
+def _aligned_float32(shape: tuple[int, int]) -> np.ndarray:
+    """An uninitialised float32 array that starts on a 64-byte boundary."""
+    nbytes = shape[0] * shape[1] * 4
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    offset = -raw.ctypes.data % 64
+    return raw[offset : offset + nbytes].view(np.float32).reshape(shape)
+
+
 def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     """Exact max of the expression (minus penalized vertices) over all 2^n assignments.
 
@@ -368,7 +434,12 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
         return x @ gain[lo:hi] - 0.5 * ((x @ adj[lo:hi, lo:hi]) * x).sum(axis=1)
 
     x_low = _bits(np.arange(1 << low), low)
-    table = np.vstack([x_low.T, objective(x_low, 0, low)])
+    # `table` and `scores` start on 64-byte boundaries wherever the heap puts
+    # their buffers: at other offsets the product and row max ran 6-20% slower
+    # per block, so the time followed the heap's state.
+    table = _aligned_float32((low + 1, 1 << low))
+    table[:low] = x_low.T
+    table[low] = objective(x_low, 0, low)
     # High states carry an always-set extra top bit; `coupling` maps it onto
     # the f_L row of `table`, so one product gives f_L - x_L . (A_LH x_H).
     coupling = np.zeros((high + 1, low + 1), dtype=np.float32)
@@ -377,13 +448,7 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     chunk = ENUM_BLOCK_ENTRIES >> low
     # One score matrix per call, refilled per block: a fresh 256 KB matrix per
     # block may be page-faulted in anew each time, as the malloc heap's state has it.
-    # It starts on a 64-byte boundary wherever the heap puts the buffer: at
-    # other offsets the product and row max ran about 10% slower per block.
-    shape = (min(chunk, 1 << high), 1 << low)
-    nbytes = shape[0] * shape[1] * 4
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    offset = -raw.ctypes.data % 64
-    scores = raw[offset : offset + nbytes].view(np.float32).reshape(shape)
+    scores = _aligned_float32((min(chunk, 1 << high), 1 << low))
     best = 0.0
     for start in range(0, 1 << high, chunk):
         x_high = _bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
@@ -612,12 +677,14 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     as parts of width at most `CORE_MAX_WIDTH` (one part when it fits, at
     most `MAX_CONDITIONED_SUBPROBLEMS` that hold a factor, or
     `CapacityError` before any table is built), and `_max_sum` eliminates
-    each part. `max_vertices` limits the expanded vertex count either way.
+    each part. `max_vertices` limits the expanded vertex count either way,
+    checked before anything is built. The core route reads only the
+    fragments, so it never fills a graph from `expand` (see `ExpandedGraph`).
     """
-    check_search_capacity(len(g.vertices), max_vertices)
+    check_search_capacity(g.vertex_count, max_vertices)
     k = g._assembled_cores
     if k is None:
-        gain, factors = [1] * len(g.vertices), [(pair, _gadget_table(0)) for pair in g.sorted_edges]
+        gain, factors = [1] * g.vertex_count, [(pair, _gadget_table(0)) for pair in g.sorted_edges]
     else:
         gain, factors = [1] * k, [(f.endpoints, _gadget_table(f.weight)) for f in g.fragments]
     return max(const + _max_sum(part_gain, part_factors, order)[0]
@@ -664,9 +731,11 @@ def ks_propagate(fragment: ExpandedGraph, forced: Mapping[int, int]) -> Propagat
     the untouched vertices to 0; on contradiction the ordered trace of
     forced steps ends at the violated constraint.
     """
-    if not fragment.bases:
+    # read once: the steps index these per vertex and per basis
+    bases, neighbors, bases_of_vertex = fragment.bases, fragment.neighbors, fragment.bases_of_vertex
+    if not bases:
         raise ValidationError("propagation needs at least one complete basis (weight >= 1)")
-    n = len(fragment.vertices)
+    n = fragment.vertex_count
     for v, val in forced.items():
         if not 0 <= v < n:
             raise ValidationError(f"forced vertex {v} does not exist (graph has {n} vertices)")
@@ -692,19 +761,19 @@ def ks_propagate(fragment: ExpandedGraph, forced: Mapping[int, int]) -> Propagat
                 # rule-1 push onto a vertex already at 1: both edge endpoints are 1
                 return done(Violation("edge", _pair(source, vertex)))
             # rule-2 push onto a vertex already at 0: that basis holds no 1
-            return done(Violation("basis", fragment.bases[source], basis=source))
+            return done(Violation("basis", bases[source], basis=source))
         values[vertex] = value
         steps.append(PropagationStep(vertex, value, reason, source))
         if value == 1:
-            for w in fragment.neighbors[vertex]:
+            for w in neighbors[vertex]:
                 got = values.get(w)
                 if got == 1:
                     return done(Violation("edge", _pair(vertex, w)))
                 if got is None:
                     queue.append((w, 0, "neighbor", vertex))
         else:
-            for b in fragment.bases_of_vertex[vertex]:
-                triple = fragment.bases[b]
+            for b in bases_of_vertex[vertex]:
+                triple = bases[b]
                 zeros = [u for u in triple if values.get(u) == 0]
                 if len(zeros) == 3:
                     return done(Violation("basis", triple, basis=b))

@@ -12,6 +12,7 @@ used in error messages and reports are 1-based (p1..pk).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,17 @@ WEIGHT_BOUNDARY_TOLERANCE = 1e-9
 DEFAULT_MIS_LIMIT = 64
 
 
+def _as_int(value: object, what: str) -> int:
+    """`value` as a plain int, by `operator.index`: ints, bools and numpy
+    integers pass, anything else (a float, even 1.0) is refused."""
+    if type(value) is int:
+        return value
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, order=True)
 class HyperEdge:
     """Weighted link between vertices i < j."""
@@ -36,14 +48,16 @@ class HyperEdge:
     weight: int
 
     def __post_init__(self) -> None:
-        if self.i < 0 or self.i >= self.j:
-            raise ValidationError(
-                f"hyper-edge endpoints must satisfy 0 <= i < j, got ({self.i}, {self.j})"
-            )
-        if self.weight < 0:
-            raise ValidationError(
-                f"hyper-edge (p{self.i + 1}, p{self.j + 1}) has negative weight {self.weight}"
-            )
+        i, j, weight = self.i, self.j, self.weight
+        if i.__class__ is not int or j.__class__ is not int or weight.__class__ is not int:
+            i, j = _as_int(i, "hyper-edge endpoint"), _as_int(j, "hyper-edge endpoint")
+            weight = _as_int(weight, "hyper-edge weight")
+            for name, value in (("i", i), ("j", j), ("weight", weight)):
+                object.__setattr__(self, name, value)
+        if i < 0 or i >= j:
+            raise ValidationError(f"hyper-edge endpoints must satisfy 0 <= i < j, got ({i}, {j})")
+        if weight < 0:
+            raise ValidationError(f"hyper-edge (p{i + 1}, p{j + 1}) has negative weight {weight}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,21 +69,21 @@ class HyperGraph:
     rays: tuple[Ray, ...] | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertex_count", _as_int(self.vertex_count, "vertex count"))
         if self.vertex_count < 1:
             raise ValidationError(f"vertex count must be positive, got {self.vertex_count}")
         # the order of HyperEdge's generated __lt__, with the key computed in C
         canonical = tuple(sorted(self.edges, key=attrgetter("i", "j", "weight")))
         object.__setattr__(self, "edges", canonical)
-        seen: set[tuple[int, int]] = set()
+        n = self.vertex_count
+        previous = None  # sorted, so the edges of one pair are adjacent
         for e in canonical:
-            if e.j >= self.vertex_count:
-                raise ValidationError(
-                    f"hyper-edge (p{e.i + 1}, p{e.j + 1}) references a vertex beyond p{self.vertex_count}"
-                )
+            if e.j >= n:
+                raise ValidationError(f"hyper-edge (p{e.i + 1}, p{e.j + 1}) references a vertex beyond p{n}")
             pair = (e.i, e.j)
-            if pair in seen:
+            if pair == previous:
                 raise ValidationError(f"duplicate hyper-edge (p{e.i + 1}, p{e.j + 1})")
-            seen.add(pair)
+            previous = pair
         if self.rays is not None:
             rays = tuple(self.rays)
             object.__setattr__(self, "rays", rays)

@@ -4,9 +4,9 @@ import math
 from itertools import product
 from typing import Sequence
 
-from kshg import Assignment, CoreVertex, ExpandedGraph, HyperGraph, Ray
+from kshg import Assignment, AuxVertex, CoreVertex, ExpandedGraph, HyperGraph, Ray
 from kshg._indset import _alpha, _components
-from kshg.expansion import _gadget
+from kshg.expansion import Fragment, _gadget
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -115,6 +115,31 @@ def _fragment_core_count(g: ExpandedGraph) -> int | None:
         relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
         start += 6 * f.weight
     return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
+
+
+def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int, int]]) -> ExpandedGraph:
+    """Reference for `expansion._assemble`: the graph built in one eager
+    pass through the public, checking constructor.
+
+    The cores come first; each (edge id, i, j, weight) placement appends its
+    gadget's auxiliary vertices, and its `_gadget` layout is relabelled
+    through the fragment's vertex order (i, j, then the new vertices).
+    """
+    vertices: list = [CoreVertex(i) for i in range(vertex_count)]
+    edges: list[tuple[int, int]] = []
+    bases: list[tuple[int, int, int]] = []
+    fragments: list[Fragment] = []
+    for edge_id, i, j, weight in placements:
+        labels, local_edges, local_bases = _gadget(weight)
+        order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
+        first_basis = len(bases)
+        vertices += [AuxVertex(edge_id, kind, level) for kind, level in labels]
+        edges += [(order[s], order[t]) for s, t in local_edges]
+        bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
+        fragments.append(
+            Fragment(edge_id, (i, j), weight, order, tuple(range(first_basis, len(bases))))
+        )
+    return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
 
 
 def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:

@@ -2,14 +2,17 @@
 
 import dataclasses
 import random
+import sys
+import threading
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _fixtures import _fragment_core_count, _gray_walk_max, _max_sum_reference
+from _fixtures import _eager_assemble, _fragment_core_count, _gray_walk_max, _max_sum_reference
 
 from kshg import (
     Assignment,
@@ -37,7 +40,7 @@ from kshg import (
     to_dot,
     vertex_label,
 )
-from kshg import _indset, expansion
+from kshg import _indset, bounds, expansion
 
 
 def enumerate_max(g: ExpandedGraph, subtract_cores: bool) -> int:
@@ -238,6 +241,22 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             Assignment((0, 2))
 
+    @pytest.mark.parametrize("values", ((1.0, 0.0), (1, 0.0), (0, "1")))
+    def test_non_integer_values_rejected(self, values):
+        # (1.0, 0.0) used to pass, and `evaluate` then returned 1.0, not an exact integer
+        with pytest.raises(ValidationError, match=r"^assignment value must be an integer, got "):
+            Assignment(values)
+
+    def test_integer_like_values_stored_as_plain_ints(self):
+        a = Assignment((True, np.int64(0)))
+        assert a.values == (1, 0) and [type(v) for v in a.values] == [int, int]
+        value = evaluate(expand_hyper_edge(0), a)
+        assert value == 1 and type(value) is int
+
+    def test_non_integer_weight_rejected(self):
+        with pytest.raises(ValidationError, match=r"^hyper-edge weight must be an integer, got 1.0$"):
+            expand_hyper_edge(1.0)
+
 
 class TestEdgeObservable:
     def test_all_zero(self):
@@ -358,6 +377,13 @@ def masked_graphs(draw):
 
 
 class TestBlockEnumeration:
+    @pytest.mark.parametrize("shape", ((1, 1), (3, 5), (13, 4096), (16, 4096)))
+    def test_buffers_start_on_64_byte_boundaries(self, shape):
+        for _ in range(8):  # wherever the heap happens to put the buffer
+            a = expansion._aligned_float32(shape)
+            assert a.ctypes.data % 64 == 0
+            assert a.shape == shape and a.dtype == np.float32 and a.flags.c_contiguous
+
     # The second setting splits even small graphs into many blocks of 4-32 states.
     @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5)])
     @settings(max_examples=100, deadline=None)
@@ -439,6 +465,17 @@ class TestMisOracle:
         g = expand(h)
         assert len(g.vertices) == 28
         assert mis_oracle(g) == 10  # 2*4 + floor(4/2)
+
+    def test_dense_weight_zero_graph_on_both_routes(self):
+        # every vertex a core and about half of all pairs joined: wide, so it is conditioned
+        h = random_hypergraph(random.Random(30), 30, max_weight=0, edge_probability=0.5)
+        alpha = _indset.independence_number(_indset.adjacency_masks(30, ((e.i, e.j) for e in h.edges)))
+        assert alpha == 7
+        g = expand(h)
+        assert mis_oracle(g, max_vertices=30) == alpha
+        copied = dataclasses.replace(g)
+        assert copied._assembled_cores is None
+        assert mis_oracle(copied, max_vertices=30) == alpha
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(9)
@@ -723,6 +760,131 @@ class TestAssembledGraphs:
             dataclasses.replace(g, edges=g.edges - {g.bases[0][:2]})
         with pytest.raises(ValidationError, match="three distinct vertices"):
             dataclasses.replace(g, bases=((0, 0, 1),))
+
+
+# What a graph from `expand` builds on first read; `fragments` it holds from the start.
+FILLED = ("vertices", "edges", "bases")
+READS = (*FILLED, "fragments", "sorted_edges", "neighbors", "bases_of_vertex")
+
+
+def _unfilled(g: ExpandedGraph) -> bool:
+    return not vars(g).keys() & set(FILLED)
+
+
+class TestLazyGraph:
+    """A graph from `expand` or `expand_hyper_edge` fills its vertices, edges
+    and bases on first read, equal to the eager reference, and readers that
+    need only the fragments and the vertex count leave them unbuilt."""
+
+    @staticmethod
+    def _same_as(g: ExpandedGraph, reference: ExpandedGraph, reads: tuple[str, ...]) -> None:
+        assert _unfilled(g)
+        assert g.vertex_count == len(reference.vertices)
+        for name in reads:
+            assert getattr(g, name) == getattr(reference, name), name
+        assert not _unfilled(g)
+        assert g.vertex_count == len(g.vertices)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs(), reads=st.permutations(READS))
+    def test_expansion_matches_the_eager_reference(self, h, reads):
+        placements = [(pos, e.i, e.j, e.weight) for pos, e in enumerate(h.edges)]
+        self._same_as(expand(h), _eager_assemble(h.vertex_count, placements), tuple(reads))
+
+    @settings(max_examples=50, deadline=None)
+    @given(weight=st.integers(0, 6), edge_id=st.integers(0, 5), reads=st.permutations(READS))
+    def test_gadget_matches_the_eager_reference(self, weight, edge_id, reads):
+        reference = _eager_assemble(2, [(edge_id, 0, 1, weight)])
+        self._same_as(expand_hyper_edge(weight, edge_id), reference, tuple(reads))
+
+    def test_fill_runs_once(self, monkeypatch):
+        g = expand(generate(FamilySpec("cyclic", k=4, weights=2)))
+        fills = []
+        real_fill = expansion._fill
+
+        def spy_fill(graph):
+            fills.append(graph)
+            return real_fill(graph)
+
+        monkeypatch.setattr(expansion, "_fill", spy_fill)
+        first = (g.edges, g.vertices, g.bases)
+        assert (g.edges, g.vertices, g.bases) == first
+        assert all(a is b for a, b in zip((g.edges, g.vertices, g.bases), first))
+        assert len(fills) == 1
+
+    @staticmethod
+    def _spy_fill(monkeypatch) -> list:
+        fills: list = []
+        monkeypatch.setattr(expansion, "_fill", fills.append)
+        return fills
+
+    def test_mis_oracle_reads_only_the_fragments(self, monkeypatch):
+        fills = self._spy_fill(monkeypatch)
+        spec = FamilySpec("torus-lattice", mx=4, my=4, weights=2)
+        g = expand(generate(spec))
+        assert mis_oracle(g, max_vertices=g.vertex_count) == family_bound(spec).total == 136
+        assert fills == [] and _unfilled(g)
+
+    def test_decomposition_check_reads_only_the_fragments(self, monkeypatch):
+        rng = random.Random(5)
+        h = random_hypergraph(rng, 6, max_weight=2)
+        a = Assignment(tuple(rng.randint(0, 1) for _ in range(expand(h).vertex_count)))
+        fills = self._spy_fill(monkeypatch)
+        built = []
+        real_expand = expand
+
+        def spy_expand(graph):
+            built.append(real_expand(graph))
+            return built[-1]
+
+        monkeypatch.setattr(bounds, "expand", spy_expand)
+        assert check_subgraph_decomposition(h, a).equal
+        assert len(built) == 1 + h.vertex_count
+        assert fills == [] and all(_unfilled(g) for g in built)
+
+    def test_capacity_refusal_builds_nothing(self, monkeypatch):
+        fills = self._spy_fill(monkeypatch)
+        g = expand(generate(FamilySpec("torus-lattice", mx=10, my=10, weights=1)))
+        with pytest.raises(CapacityError, match=r"^1300 vertices exceed the exact-search limit of 64$"):
+            mis_oracle(g)
+        assert fills == [] and _unfilled(g)
+
+    def test_racing_threads_read_equal_fields(self):
+        h = generate(FamilySpec("torus-lattice", mx=4, my=4, weights=2))
+        reference = _eager_assemble(h.vertex_count, [(pos, e.i, e.j, e.weight) for pos, e in enumerate(h.edges)])
+        expected = [getattr(reference, name) for name in READS]
+        seen, errors = [], []
+
+        def read(g, names):
+            try:
+                got = {name: getattr(g, name) for name in names}
+                seen.append([got[name] for name in READS])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                g = expand(h)
+                threads = [threading.Thread(target=read, args=(g, READS[t % 7:] + READS[:t % 7]))
+                           for t in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(seen) == 120 and all(fields == expected for fields in seen)
+
+    def test_copies_are_filled_checked_graphs(self):
+        g = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
+        copied = dataclasses.replace(g)
+        assert not _unfilled(g) and copied._assembled_cores is None
+        assert (copied.vertices, copied.edges, copied.bases, copied.fragments) == (
+            g.vertices, g.edges, g.bases, g.fragments)
 
 
 class TestKsPropagate:

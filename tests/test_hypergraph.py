@@ -4,6 +4,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from kshg import (
@@ -358,6 +359,28 @@ class TestHyperGraphValidation:
     def test_negative_weight(self):
         with pytest.raises(ValidationError, match="negative"):
             HyperEdge(0, 1, -1)
+
+    @pytest.mark.parametrize("weight", (2.5, 1.0, "1", None))
+    def test_non_integer_weight_refused(self, weight):
+        # a float weight used to pass: classical_bound read 2.5 as total 6.0
+        with pytest.raises(ValidationError, match=r"^hyper-edge weight must be an integer, got "):
+            HyperEdge(0, 1, weight)
+
+    @pytest.mark.parametrize("i,j", ((0.0, 1), (0, 1.0), (0, 1.5)))
+    def test_non_integer_endpoint_refused(self, i, j):
+        with pytest.raises(ValidationError, match=r"^hyper-edge endpoint must be an integer, got "):
+            HyperEdge(i, j, 1)
+
+    def test_non_integer_vertex_count_refused(self):
+        with pytest.raises(ValidationError, match=r"^vertex count must be an integer, got 3.0$"):
+            HyperGraph(3.0)
+
+    def test_integer_like_inputs_stored_as_plain_ints(self):
+        e = HyperEdge(np.int64(0), True, np.int32(2))
+        assert (e.i, e.j, e.weight) == (0, 1, 2)
+        assert [type(x) for x in (e.i, e.j, e.weight)] == [int] * 3
+        h = HyperGraph(np.int64(2), (e,))
+        assert type(h.vertex_count) is int and h.edges == (HyperEdge(0, 1, 2),)
 
     def test_parallel_rays_across_edge(self):
         rays = (Ray((1, 0, 0)), Ray((-1, 0, 0)))
