@@ -186,57 +186,58 @@ def _max_set(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[i
     return chosen
 
 
+def _solve(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
+    """A maximum independent set of `mask`, as a bitmask: what one `_peel`
+    chain takes, plus `_alpha` and `_max_set` on the rest, if it leaves one."""
+    rest, chosen, _ = _peel(adj, closed, mask, mask)
+    if rest:
+        _alpha(adj, closed, rest, cache, 0)
+        chosen |= _max_set(adj, closed, rest, cache)
+    return chosen
+
+
 def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     """Exact size plus the lexicographically smallest maximum independent set.
 
     The witness is rebuilt greedily: the lowest remaining candidate `v`
     joins it exactly when some maximum set of the candidates contains it,
     which yields the smallest witness under sorted-list comparison. One
-    maximum set `best` of the candidates vouches for most of them: when
-    `best` holds `v`, or exactly one of `v`'s neighbours, which `v` can
-    replace there, `v` joins with no search. Only when `best` holds two or
-    more of its neighbours is `v` decided by a search, inside its connected
+    maximum set `best` of the candidates, first taken by `_solve` from the
+    whole graph, vouches for most of them: when `best` holds `v`, or
+    exactly one of `v`'s neighbours, which `v` can replace there, `v` joins
+    with no search. So does every vertex that `_peel` could take, as its
+    closed neighbourhood is a clique. Only when `best` holds two or more of
+    its neighbours is `v` decided by a search, inside its connected
     component `K` among the candidates, which holds `v`'s whole
-    neighbourhood: `v` joins exactly when `1 + alpha(K - N[v])` equals
-    `alpha(K)`, the size of `best` inside `K`. Every other component keeps
-    its value either way, so on a sparse graph each check searches one
-    component, not everything that is left. When `v` joins so, `best` is
-    rebuilt inside `K` from the search just made.
-
-    `best` is built by `_max_set` from the top-level search, and only when
-    first needed: until then the lowest candidate is the vertex that
-    `_peel` took first, which is in some maximum set, so the candidates are
-    still a mask that `_alpha` solved. Whether `v` can be peeled is
-    `_peel`'s own test, run on `v` and its neighbours alone: it leaves
-    nothing exactly when it peels `v`.
+    neighbourhood: `v` joins exactly when `1 + alpha(K - N[v])` equals the
+    size of `best` inside `K`. Every other component keeps its value either
+    way, so on a sparse graph each check searches one component, not
+    everything that is left. The check's `_solve` of `K - N[v]` replaces
+    `best` inside `K` when `v` joins.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
     cache: dict[int, int] = {}
-    total = _alpha(adj, closed, (1 << n) - 1, cache)
     witness: list[int] = []
     candidates = (1 << n) - 1
-    best = None
+    best = _solve(adj, closed, candidates, cache)
     while candidates:
         bit = candidates & -candidates
         v = bit.bit_length() - 1
         near = closed[v] & candidates  # v and its neighbours among the candidates
-        if best is None and _peel(adj, closed, near, bit)[0]:
-            best = _max_set(adj, closed, candidates, cache)
-        if best is not None:
-            rivals = near & best  # v itself, or its neighbours in `best`
-            if rivals & (rivals - 1):
-                component = _component(adj, candidates, near)
-                rest = component & ~near
-                if 1 + _alpha(adj, closed, rest, cache) != (best & component).bit_count():
-                    candidates ^= bit
-                    continue
-                best = best & ~component | _max_set(adj, closed, rest, cache)
-            else:
-                best ^= rivals
+        rivals = near & best  # v itself, or its neighbours in `best`
+        if rivals & (rivals - 1):
+            component = _component(adj, candidates, near)
+            found = _solve(adj, closed, component & ~near, cache)
+            if 1 + found.bit_count() != (best & component).bit_count():
+                candidates ^= bit
+                continue
+            best = best & ~component | found
+        else:
+            best ^= rivals
         witness.append(v)
         candidates &= ~near
-    return total, witness
+    return len(witness), witness
 
 
 def brute_force_search(adj: Sequence[int]) -> tuple[int, list[int]]:

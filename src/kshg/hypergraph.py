@@ -39,25 +39,33 @@ def _as_int(value: object, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class HyperEdge:
-    """Weighted link between vertices i < j."""
+    """Weighted link between vertices i < j.
+
+    Edges are built by the thousand, so the constructor is written out: it
+    stores the checked fields straight into the instance dict, where the
+    frozen dataclass's own `__init__` pays one `object.__setattr__` per
+    field. The generated `__repr__`, `__eq__`, `__hash__`, ordering and
+    frozen `__setattr__` are unchanged.
+    """
 
     i: int
     j: int
     weight: int
 
-    def __post_init__(self) -> None:
-        i, j, weight = self.i, self.j, self.weight
+    def __init__(self, i: int, j: int, weight: int) -> None:
         if i.__class__ is not int or j.__class__ is not int or weight.__class__ is not int:
             i, j = _as_int(i, "hyper-edge endpoint"), _as_int(j, "hyper-edge endpoint")
             weight = _as_int(weight, "hyper-edge weight")
-            for name, value in (("i", i), ("j", j), ("weight", weight)):
-                object.__setattr__(self, name, value)
         if i < 0 or i >= j:
             raise ValidationError(f"hyper-edge endpoints must satisfy 0 <= i < j, got ({i}, {j})")
         if weight < 0:
             raise ValidationError(f"hyper-edge (p{i + 1}, p{j + 1}) has negative weight {weight}")
+        fields = self.__dict__
+        fields["i"] = i
+        fields["j"] = j
+        fields["weight"] = weight
 
 
 @dataclass(frozen=True, eq=False)

@@ -324,6 +324,17 @@ class TestExitCodes:
         assert code == 1
         assert "path.hg" in err
 
+    @pytest.mark.parametrize("undecodable", ["graph", "rays"])
+    def test_non_utf8_file_is_1(self, capsys, tmp_path, undecodable):
+        graph, rays = tmp_path / "w7.hg", tmp_path / "w7.rays"
+        run(capsys, "gen", "wheel7", "--rays-out", str(rays), "-o", str(graph))
+        bad = {"graph": graph, "rays": rays}[undecodable]
+        bad.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "quantum", str(graph), "--rays", str(rays))
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff"
+                       " in position 0: invalid start byte\n")
+
     def test_capacity_error_is_2(self, capsys, tmp_path):
         graph = tmp_path / "big.hg"
         run(capsys, "gen", "complete", "--k", "4", "--weight", "2", "-o", str(graph))

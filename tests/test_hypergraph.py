@@ -1,5 +1,6 @@
 """Tests for the hyper-graph model, weights, generators, and exact MIS."""
 
+import dataclasses
 import math
 import random
 from itertools import combinations
@@ -381,6 +382,18 @@ class TestHyperGraphValidation:
         assert [type(x) for x in (e.i, e.j, e.weight)] == [int] * 3
         h = HyperGraph(np.int64(2), (e,))
         assert type(h.vertex_count) is int and h.edges == (HyperEdge(0, 1, 2),)
+
+    def test_hand_written_constructor_keeps_the_generated_methods(self):
+        e = HyperEdge(0, 2, 1)
+        assert repr(e) == "HyperEdge(i=0, j=2, weight=1)"
+        assert e == HyperEdge(np.int64(0), 2, True) and e != HyperEdge(0, 2, 2)
+        assert hash(e) == hash(HyperEdge(0, 2, 1)) and len({e, HyperEdge(0, 2, 1)}) == 1
+        assert HyperEdge(0, 1, 3) < e < HyperEdge(0, 2, 2) < HyperEdge(1, 2, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.weight = 2
+        assert dataclasses.replace(e, weight=3) == HyperEdge(0, 2, 3)
+        with pytest.raises(ValidationError, match="negative"):
+            dataclasses.replace(e, weight=-1)
 
     def test_parallel_rays_across_edge(self):
         rays = (Ray((1, 0, 0)), Ray((-1, 0, 0)))

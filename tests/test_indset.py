@@ -7,7 +7,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kshg import (
@@ -216,18 +216,20 @@ class TestBranchSearch:
             sizes.add(result[0])
         assert len(sizes) == 1
 
-    @pytest.mark.parametrize("spec, labelling, replays", [
-        (FamilySpec("fractal-tree", k=8), "identity", 1),
-        (FamilySpec("fractal-tree", k=10), "identity", 1),
+    @pytest.mark.parametrize("spec, labelling, searched", [
+        (FamilySpec("fractal-tree", k=8), "identity", 0),
+        (FamilySpec("fractal-tree", k=10), "identity", 0),
         (FamilySpec("linear", k=200), "identity", 0),
         (FamilySpec("fractal-cyclic", k=7), "reversed", 0),
+        (FamilySpec("torus-lattice", mx=4, my=4), "identity", 1),
     ])
     def test_witness_searches_only_where_the_maximum_set_cannot_vouch(
-            self, monkeypatch, spec, labelling, replays):
-        """A generated fractal tree's maximum set is unique, so the replayed
-        one vouches for every candidate and no search runs after the
-        top-level one. Every lowest candidate of a path or of a reversed
-        fractal-cyclic graph peels, so they replay nothing."""
+            self, monkeypatch, spec, labelling, searched):
+        """The top peel chain takes a fractal tree, a path and a reversed
+        fractal-cyclic graph apart, and the set it takes vouches for every
+        candidate, so neither `_alpha` nor `_max_set` runs at all. Torus 4x4
+        has nothing to peel: it is searched and replayed once as a whole,
+        and that set vouches for every candidate."""
         alpha, max_set = _indset._alpha, _indset._max_set
         searches, replayed = [], []
         depth = 0
@@ -253,8 +255,53 @@ class TestBranchSearch:
         adj = _indset.adjacency_masks(n, relabel(n, [(e.i, e.j) for e in h.edges], labelling, None))
         size, witness = _indset.branch_search(adj)
         assert size == len(witness) == closed_form_independence(spec)
-        assert searches == [(1 << n) - 1]
-        assert len(replayed) == replays
+        assert searches == replayed == [(1 << n) - 1] * searched
+
+    @pytest.mark.parametrize("spec, labelling", [
+        (FamilySpec("fractal-tree", k=8), "identity"),
+        (FamilySpec("fractal-tree", k=8), "shuffled"),
+        (FamilySpec("linear", k=200), "identity"),
+        (FamilySpec("fractal-cyclic", k=7), "reversed"),
+        (FamilySpec("fractal-cyclic", k=6), "shuffled"),
+    ])
+    def test_peel_walks_the_whole_graph_once(self, monkeypatch, spec, labelling):
+        """The top chain is walked once: no size search or replay peels the
+        whole graph again."""
+        peel = _indset._peel
+        seen = []
+
+        def spy_peel(*args):
+            seen.append(args[2])
+            return peel(*args)
+
+        monkeypatch.setattr(_indset, "_peel", spy_peel)
+        h = generate(spec)
+        n = h.vertex_count
+        adj = _indset.adjacency_masks(n, relabel(n, [(e.i, e.j) for e in h.edges], labelling, random.Random(n)))
+        size, _ = _indset.branch_search(adj)
+        assert size == closed_form_independence(spec)
+        assert seen.count((1 << n) - 1) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), core=st.integers(5, 9), n=st.integers(10, 60))
+    def test_tree_hung_off_a_dense_core(self, rng, core, n):
+        """The top chain peels the tree away and leaves part of the core, so
+        the first maximum set and the checks come partly from `_alpha` and
+        `_max_set`."""
+        edges = [(i, j) for j in range(core) for i in range(j) if rng.random() < 0.75]
+        roots = rng.randint(1, 3)  # tree vertices hung on the core; the rest hang on them
+        for v in range(core, n):
+            edges.append((rng.randrange(core) if v < core + roots else rng.randrange(core, v), v))
+        adj = _indset.adjacency_masks(n, relabel(n, edges, "shuffled", rng))
+        full = (1 << n) - 1
+        assume(_indset._peel(adj, closed_masks(adj), full, full)[0])
+        reference = _indset.brute_force_search if n <= _indset.BRUTE_FORCE_LIMIT else _global_witness
+        assert _indset.branch_search(adj) == reference(adj)
+
+    def test_edgeless_graph(self):
+        """Every vertex peels; the memo would fill with masks whose hashes
+        collide (an int hashes to its value mod 2**61 - 1)."""
+        assert _indset.branch_search([0] * 5000) == (5000, list(range(5000)))
 
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs(), data=st.data())
