@@ -1,9 +1,10 @@
 """Exact maximum-independent-set search over bitmask adjacency.
 
-Two engines share this module: a recursive solver with degree reductions,
-connected-component splitting and memoization, and a plain include-first
-enumeration used as an independent cross-check on small graphs. Vertex sets
-are Python ints used as bitmasks.
+Two engines share this module: a recursive search that returns a maximum
+set, with peel reductions, connected-component splitting and a memo of the
+sets it has solved, and a plain include-first enumeration used as an
+independent cross-check on small graphs. Vertex sets are Python ints used
+as bitmasks.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
-def _peel(adj: Sequence[int], closed: Sequence[int], mask: int, pending: int) -> tuple[int, int, list[int]]:
+def _peel(adj: Sequence[int], closed: Sequence[int], mask: int, pending: int) -> tuple[int, int]:
     """Peel `mask` until none of its vertices can be peeled.
 
     A vertex of degree at most 2 whose neighbours are adjacent (degree 0, a
@@ -61,11 +62,10 @@ def _peel(adj: Sequence[int], closed: Sequence[int], mask: int, pending: int) ->
     A vertex needs a new check only when a neighbour is removed, so
     `pending` must hold every peelable vertex of `mask`, and each peel adds
     the neighbours of what it removes. It is checked lowest first, so each
-    hit is the lowest peelable vertex. Returns the rest, the peeled
-    vertices as a bitmask, and the mask before each peel, in order.
+    hit is the lowest peelable vertex. Returns the rest and the peeled
+    vertices as a bitmask.
     """
     chosen = 0
-    peeled: list[int] = []
     pending &= mask
     while pending:
         bit = pending & -pending
@@ -75,61 +75,52 @@ def _peel(adj: Sequence[int], closed: Sequence[int], mask: int, pending: int) ->
         # With two neighbours, the higher one's closed neighbourhood
         # holds the lower one exactly when they are adjacent.
         if degree <= 1 or degree == 2 and not neighbour & ~closed[neighbour.bit_length() - 1]:
-            peeled.append(mask)
             chosen |= bit
             mask ^= bit | neighbour
             if neighbour:
                 pending = (pending | adj[neighbour.bit_length() - 1]
                            | adj[(neighbour & -neighbour).bit_length() - 1]) & mask
-    return mask, chosen, peeled
+    return mask, chosen
 
 
-def _alpha(
-    adj: Sequence[int],
-    closed: Sequence[int],
-    mask: int,
-    cache: dict[int, int],
-    touched: int = -1,
-) -> int:
-    """Independence number of the subgraph induced by `mask`.
+def _max_set(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int], touched: int = -1) -> int:
+    """A maximum independent set of the subgraph induced by `mask`, as a
+    bitmask.
 
-    `_peel` takes the vertices that some optimum holds; the rest is split
-    into connected components, or the search branches on a highest-degree
-    vertex. The value of every peeled mask and of the rest is cached. The
-    memo is read only at the two ends of the peel chain: a mask inside it
-    was cached by an earlier chain through it, which took the same peels
-    (always the lowest peelable vertex) and so cached the same rest.
+    `_peel` takes vertices that some maximum set holds; the rest is split
+    into connected components, whose sets are joined, or the search
+    branches on a highest-degree vertex `v` and keeps the larger of the
+    sets with and without it (with it on a tie). `cache` maps each rest
+    solved so far, a mask with nothing left to peel, to its set; the masks
+    inside a peel chain are not cached.
 
     `touched` (all of `mask` by default) is the `pending` set of the peel: a
     caller that knows `mask` had no vertex to peel before it removed some
     vertices passes their neighbours.
     """
-    result = cache.get(mask) if mask else 0
-    if result is not None:
-        return result
-    mask, _, peeled = _peel(adj, closed, mask, touched)
-    result = cache.get(mask) if mask else 0
-    if result is None:
+    mask, chosen = _peel(adj, closed, mask, touched)
+    if not mask:
+        return chosen
+    found = cache.get(mask)
+    if found is None:
         comps = _components(adj, mask)
         if len(comps) > 1:
-            result = sum(_alpha(adj, closed, comp, cache, 0) for comp in comps)
+            found = 0
+            for comp in comps:
+                found |= _max_set(adj, closed, comp, cache, 0)
         else:
             v = _branch_vertex(adj, mask)
-            taken = mask & ~closed[v]
-            near = 0  # the vertices whose degree the taken branch lowers
+            near = 0  # the vertices whose degree taking `v` lowers
             nb = adj[v] & mask
             while nb:
                 near |= adj[(nb & -nb).bit_length() - 1]
                 nb &= nb - 1
-            result = max(
-                1 + _alpha(adj, closed, taken, cache, near),
-                _alpha(adj, closed, mask ^ (1 << v), cache, adj[v]),
-            )
-        cache[mask] = result
-    for m in reversed(peeled):
-        result += 1
-        cache[m] = result
-    return result
+            found = _max_set(adj, closed, mask & ~closed[v], cache, near) | 1 << v
+            without = _max_set(adj, closed, mask ^ 1 << v, cache, adj[v])
+            if without.bit_count() > found.bit_count():
+                found = without
+        cache[mask] = found
+    return chosen | found
 
 
 def _branch_vertex(adj: Sequence[int], mask: int) -> int:
@@ -150,50 +141,7 @@ def _branch_vertex(adj: Sequence[int], mask: int) -> int:
 def independence_number(adj: Sequence[int]) -> int:
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
-    return _alpha(adj, closed, (1 << n) - 1, {})
-
-
-def _max_set(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
-    """A maximum independent set of `mask`, as a bitmask, read back from a
-    memo in which `_alpha` has solved `mask`.
-
-    The replay makes `_alpha`'s choices in `_alpha`'s order: it peels,
-    splits the components, and at each branch vertex follows the side whose
-    memoised value gives the maximum. So every branch mask it reaches is one
-    that `_alpha` solved, and only one side of each branch is walked. The
-    memo is read strictly: a mask that `_alpha` did not solve raises
-    KeyError instead of reading as 0.
-    """
-    chosen = 0
-    stack = [(mask, mask)]
-    while stack:
-        mask, pending = stack.pop()
-        while True:
-            mask, peeled, _ = _peel(adj, closed, mask, pending)
-            chosen |= peeled
-            comps = _components(adj, mask)
-            if len(comps) != 1:  # none left, or split
-                stack += [(comp, 0) for comp in comps]
-                break
-            v = _branch_vertex(adj, mask)
-            taken = mask & ~closed[v]
-            if 1 + (cache[taken] if taken else 0) >= cache[mask ^ (1 << v)]:
-                chosen |= 1 << v
-                mask = taken
-            else:
-                mask ^= 1 << v
-            pending = mask  # one side of each branch is walked, so checking all again is cheap
-    return chosen
-
-
-def _solve(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
-    """A maximum independent set of `mask`, as a bitmask: what one `_peel`
-    chain takes, plus `_alpha` and `_max_set` on the rest, if it leaves one."""
-    rest, chosen, _ = _peel(adj, closed, mask, mask)
-    if rest:
-        _alpha(adj, closed, rest, cache, 0)
-        chosen |= _max_set(adj, closed, rest, cache)
-    return chosen
+    return _max_set(adj, closed, (1 << n) - 1, {}).bit_count()
 
 
 def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
@@ -202,8 +150,8 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     The witness is rebuilt greedily: the lowest remaining candidate `v`
     joins it exactly when some maximum set of the candidates contains it,
     which yields the smallest witness under sorted-list comparison. One
-    maximum set `best` of the candidates, first taken by `_solve` from the
-    whole graph, vouches for most of them: when `best` holds `v`, or
+    maximum set `best` of the candidates, first taken by `_max_set` from
+    the whole graph, vouches for most of them: when `best` holds `v`, or
     exactly one of `v`'s neighbours, which `v` can replace there, `v` joins
     with no search. So does every vertex that `_peel` could take, as its
     closed neighbourhood is a clique. Only when `best` holds two or more of
@@ -212,15 +160,16 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
     neighbourhood: `v` joins exactly when `1 + alpha(K - N[v])` equals the
     size of `best` inside `K`. Every other component keeps its value either
     way, so on a sparse graph each check searches one component, not
-    everything that is left. The check's `_solve` of `K - N[v]` replaces
-    `best` inside `K` when `v` joins.
+    everything that is left. The check's maximum set of `K - N[v]`
+    replaces `best` inside `K` when `v` joins. The decisions depend only on
+    sizes, so any maximum set can serve as `best`.
     """
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
     cache: dict[int, int] = {}
     witness: list[int] = []
     candidates = (1 << n) - 1
-    best = _solve(adj, closed, candidates, cache)
+    best = _max_set(adj, closed, candidates, cache)
     while candidates:
         bit = candidates & -candidates
         v = bit.bit_length() - 1
@@ -228,7 +177,7 @@ def branch_search(adj: Sequence[int]) -> tuple[int, list[int]]:
         rivals = near & best  # v itself, or its neighbours in `best`
         if rivals & (rivals - 1):
             component = _component(adj, candidates, near)
-            found = _solve(adj, closed, component & ~near, cache)
+            found = _max_set(adj, closed, component & ~near, cache)
             if 1 + found.bit_count() != (best & component).bit_count():
                 candidates ^= bit
                 continue

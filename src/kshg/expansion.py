@@ -487,16 +487,16 @@ def check_enumeration_capacity(
 
 def brute_force_max(g: ExpandedGraph, *, max_bits: int | None = None) -> int:
     """Exact maximum of `evaluate` over all assignments, by exhaustive enumeration."""
-    n = len(g.vertices)
+    n = g.vertex_count
     check_enumeration_capacity(n, max_bits)
     return _block_max(n, g.adjacency_masks)
 
 
 def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None) -> int:
     """Exact maximum of the edge observable over all assignments."""
-    p, q = _edge_cores(fragment)
-    n = len(fragment.vertices)
+    n = fragment.vertex_count
     check_enumeration_capacity(n, max_bits, advice="")
+    p, q = _edge_cores(fragment)
     penalty = (1 << p) | (1 << q)
     return _block_max(n, fragment.adjacency_masks, penalty)
 

@@ -5,7 +5,7 @@ from itertools import product
 from typing import Sequence
 
 from kshg import Assignment, AuxVertex, CoreVertex, ExpandedGraph, HyperGraph, Ray
-from kshg._indset import _alpha, _components
+from kshg._indset import _components, _max_set
 from kshg.expansion import Fragment, _gadget
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -143,10 +143,10 @@ def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int,
 
 
 def _scan_alpha(adj: Sequence[int], closed: Sequence[int], mask: int, cache: dict[int, int]) -> int:
-    """Reference for `_indset._alpha`'s values: the same branching, but it
-    peels only vertices of degree 0 or 1, and each peel finds its vertex by
-    a fresh scan from the lowest bit of `mask` (quadratic per call on a tree
-    labelled root-first).
+    """Reference for the sizes of `_indset._max_set`'s sets: the same
+    branching, but it peels only vertices of degree 0 or 1, each peel finds
+    its vertex by a fresh scan from the lowest bit of `mask` (quadratic per
+    call on a tree labelled root-first), and it memoizes sizes, not sets.
     """
     peeled: list[int] = []
     while True:
@@ -197,14 +197,14 @@ def _global_witness(adj: Sequence[int]) -> tuple[int, list[int]]:
     n = len(adj)
     closed = [a | (1 << v) for v, a in enumerate(adj)]
     cache: dict[int, int] = {}
-    total = _alpha(adj, closed, (1 << n) - 1, cache)
+    total = _max_set(adj, closed, (1 << n) - 1, cache).bit_count()
     witness: list[int] = []
     candidates = (1 << n) - 1
     while candidates:
         v = (candidates & -candidates).bit_length() - 1
         rest = candidates & ~closed[v]
         if (adj[v] & candidates).bit_count() <= 1 or (
-            len(witness) + 1 + _alpha(adj, closed, rest, cache) == total
+            len(witness) + 1 + _max_set(adj, closed, rest, cache).bit_count() == total
         ):
             witness.append(v)
             candidates = rest

@@ -511,7 +511,7 @@ class TestMisOracle:
                 expected = float("-inf")  # adjacent cores cannot both be 1
             else:
                 free = aux & ~(closed[0] if a else 0) & ~(closed[1] if b else 0)
-                expected = _indset._alpha(adj, closed, free, {})
+                expected = _indset._max_set(adj, closed, free, {}).bit_count()
             assert table[a + 2 * b] == expected
         reference = 2 * weight - 1 if weight else float("-inf")
         assert table == (2 * weight, 2 * weight, 2 * weight, reference)
@@ -533,7 +533,7 @@ class TestMisOracle:
     def _spy(monkeypatch) -> list:
         """Record every `_indset` search that runs; `mis_oracle` must make none."""
         calls = []
-        for name in ("independence_number", "branch_search", "brute_force_search", "_alpha"):
+        for name in ("independence_number", "branch_search", "brute_force_search", "_max_set"):
             search = getattr(_indset, name)
             monkeypatch.setattr(_indset, name, lambda *args, name=name, search=search:
                                 calls.append(name) or search(*args))
@@ -848,6 +848,21 @@ class TestLazyGraph:
         with pytest.raises(CapacityError, match=r"^1300 vertices exceed the exact-search limit of 64$"):
             mis_oracle(g)
         assert fills == [] and _unfilled(g)
+
+    def test_enumeration_refusal_builds_nothing(self, monkeypatch):
+        """The enumerations check the vertex count before anything reads the
+        vertices, also before the edge observable looks for its two cores."""
+        fills = self._spy_fill(monkeypatch)
+        heavy = expand_hyper_edge(1000)
+        two_edges = expand(generate(FamilySpec("linear", k=3, weights=100)))
+        message = r"^6002 vertices exceed the 30-bit enumeration limit"
+        with pytest.raises(CapacityError, match=message + "; use mis_oracle instead$"):
+            brute_force_max(heavy)
+        with pytest.raises(CapacityError, match=message + "$"):
+            max_edge_observable(heavy)
+        with pytest.raises(CapacityError, match=r"^1203 vertices exceed the 30-bit enumeration limit$"):
+            max_edge_observable(two_edges)
+        assert fills == [] and _unfilled(heavy) and _unfilled(two_edges)
 
     def test_racing_threads_read_equal_fields(self):
         h = generate(FamilySpec("torus-lattice", mx=4, my=4, weights=2))

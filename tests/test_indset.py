@@ -1,7 +1,7 @@
 """Tests for the bitmask independent-set engine against its references: the
 include-first enumeration, the degree-0/1 scan-peel search, and a tree DP
-for large sparse graphs; and for the peel step and the memo replay
-behind the witness."""
+for large sparse graphs; and for the peel step, the maximum sets the search
+returns and the memo of sets behind the witness."""
 
 import random
 import tracemalloc
@@ -94,19 +94,46 @@ def induced(adj, mask):
     return [sum(1 << index[u] for u in index if adj[v] >> u & 1) for v in index]
 
 
-def parent_witness_memo(alpha, adj):
-    """The memo after a top-level `alpha` call and the greedy witness loop
-    that calls it once per remaining candidate, with no shortcut."""
+def peelable(adj, mask):
+    """The vertices of `mask` of degree 0 or 1, or of degree 2 with
+    adjacent neighbours, in index order."""
+    found = []
+    for v in range(len(adj)):
+        near = adj[v] & mask
+        if mask >> v & 1 and (near.bit_count() <= 1 or near.bit_count() == 2
+                              and adj[near.bit_length() - 1] & near):
+            found.append(v)
+    return found
+
+
+def check_set(adj, found, mask, size):
+    """`found` is an independent subset of `mask` of `size` vertices."""
+    assert found & ~mask == 0
+    assert not any(adj[v] & found for v in range(len(adj)) if found >> v & 1)
+    assert found.bit_count() == size
+
+
+def check_memo(adj, memo, size_of):
+    """Each key of `memo` has nothing to peel, and its value is an
+    independent subset of the key of size `size_of(key)`."""
+    for mask, found in memo.items():
+        assert mask and not peelable(adj, mask)
+        check_set(adj, found, mask, size_of(mask))
+
+
+def witness_memo(adj):
+    """The memo after a top-level `_max_set` call and the greedy witness
+    loop that calls it once per remaining candidate, with no shortcut."""
     n = len(adj)
     closed = closed_masks(adj)
     cache = {}
-    total = alpha(adj, closed, (1 << n) - 1, cache)
+    total = _indset._max_set(adj, closed, (1 << n) - 1, cache).bit_count()
     size = 0
     candidates = (1 << n) - 1
     for v in range(n):
         if candidates >> v & 1:
             rest = candidates & ~closed[v]
-            if size + 1 + alpha(adj, closed, rest, cache) == total:
+            if size + 1 + _indset._max_set(adj, closed, rest, cache).bit_count() == total:
                 size += 1
                 candidates = rest
             else:
@@ -167,16 +194,16 @@ class TestBranchSearch:
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs())
     def test_alpha_leaves_the_scan_reference_memo(self, graph):
-        """Every mask that `_alpha` caches over a witness loop holds its
-        brute-force independence number, and the top-level answer is the
-        scan-peel reference's. The masks themselves differ from the
-        reference's: the triangle peel removes three vertices at a time."""
+        """Every mask that `_max_set` caches over a witness loop has nothing
+        to peel and holds a maximum set, whose size is the brute-force
+        independence number, and the top-level size is the scan-peel
+        reference's. The masks themselves differ from the reference's: the
+        triangle peel removes three vertices at a time."""
         adj = _indset.adjacency_masks(*graph[:2])
         closed = closed_masks(adj)
         full = (1 << len(adj)) - 1
-        assert _indset._alpha(adj, closed, full, {}) == _scan_alpha(adj, closed, full, {})
-        for mask, value in parent_witness_memo(_indset._alpha, adj).items():
-            assert value == _indset.brute_force_search(induced(adj, mask))[0]
+        assert _indset._max_set(adj, closed, full, {}).bit_count() == _scan_alpha(adj, closed, full, {})
+        check_memo(adj, witness_memo(adj), lambda mask: _indset.brute_force_search(induced(adj, mask))[0])
 
     @pytest.mark.parametrize("spec", [
         FamilySpec("fractal-tree", k=7),
@@ -190,16 +217,16 @@ class TestBranchSearch:
         FamilySpec("square-lattice", mx=5, my=5),
     ])
     def test_family_memo_matches_scan_reference(self, spec):
-        """The answer and every cached mask's value equal the scan-peel
-        reference's. The reference keeps a memo of its own across the masks:
-        a fresh one per mask takes minutes on torus 3x200."""
+        """The size of the answer and of every cached set equal the
+        scan-peel reference's, and each cached mask has nothing to peel. The
+        reference keeps a memo of its own across the masks: a fresh one per
+        mask takes minutes on torus 3x200."""
         adj = family_adjacency(spec)
         closed = closed_masks(adj)
         full = (1 << len(adj)) - 1
         memo, reference = {}, {}
-        assert _indset._alpha(adj, closed, full, memo) == _scan_alpha(adj, closed, full, reference)
-        for mask, value in memo.items():
-            assert value == _scan_alpha(adj, closed, mask, reference)
+        assert _indset._max_set(adj, closed, full, memo).bit_count() == _scan_alpha(adj, closed, full, reference)
+        check_memo(adj, memo, lambda mask: _scan_alpha(adj, closed, mask, reference))
 
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs(), data=st.data())
@@ -227,35 +254,36 @@ class TestBranchSearch:
             self, monkeypatch, spec, labelling, searched):
         """The top peel chain takes a fractal tree, a path and a reversed
         fractal-cyclic graph apart, and the set it takes vouches for every
-        candidate, so neither `_alpha` nor `_max_set` runs at all. Torus 4x4
-        has nothing to peel: it is searched and replayed once as a whole,
-        and that set vouches for every candidate."""
-        alpha, max_set = _indset._alpha, _indset._max_set
-        searches, replayed = [], []
+        candidate, so the one search of the whole graph never branches.
+        Torus 4x4 has nothing to peel: its one search branches on the whole
+        graph first, and the set it returns vouches for every candidate."""
+        max_set, branch_vertex = _indset._max_set, _indset._branch_vertex
+        searches, branched = [], []
         depth = 0
 
-        def spy_alpha(*args):
+        def spy_max_set(*args):
             nonlocal depth
             if not depth:
                 searches.append(args[2])
             depth += 1
             try:
-                return alpha(*args)
+                return max_set(*args)
             finally:
                 depth -= 1
 
-        def spy_max_set(*args):
-            replayed.append(args[2])
-            return max_set(*args)
+        def spy_branch_vertex(*args):
+            branched.append(args[1])
+            return branch_vertex(*args)
 
-        monkeypatch.setattr(_indset, "_alpha", spy_alpha)
         monkeypatch.setattr(_indset, "_max_set", spy_max_set)
+        monkeypatch.setattr(_indset, "_branch_vertex", spy_branch_vertex)
         h = generate(spec)
         n = h.vertex_count
         adj = _indset.adjacency_masks(n, relabel(n, [(e.i, e.j) for e in h.edges], labelling, None))
         size, witness = _indset.branch_search(adj)
         assert size == len(witness) == closed_form_independence(spec)
-        assert searches == replayed == [(1 << n) - 1] * searched
+        assert searches == [(1 << n) - 1]
+        assert branched[:1] == [(1 << n) - 1] * searched
 
     @pytest.mark.parametrize("spec, labelling", [
         (FamilySpec("fractal-tree", k=8), "identity"),
@@ -265,8 +293,8 @@ class TestBranchSearch:
         (FamilySpec("fractal-cyclic", k=6), "shuffled"),
     ])
     def test_peel_walks_the_whole_graph_once(self, monkeypatch, spec, labelling):
-        """The top chain is walked once: no size search or replay peels the
-        whole graph again."""
+        """The top chain is walked once: no later search peels the whole
+        graph again."""
         peel = _indset._peel
         seen = []
 
@@ -286,8 +314,8 @@ class TestBranchSearch:
     @given(rng=st.randoms(use_true_random=False), core=st.integers(5, 9), n=st.integers(10, 60))
     def test_tree_hung_off_a_dense_core(self, rng, core, n):
         """The top chain peels the tree away and leaves part of the core, so
-        the first maximum set and the checks come partly from `_alpha` and
-        `_max_set`."""
+        the first maximum set and the checks come partly from the search of
+        what the chain leaves."""
         edges = [(i, j) for j in range(core) for i in range(j) if rng.random() < 0.75]
         roots = rng.randint(1, 3)  # tree vertices hung on the core; the rest hang on them
         for v in range(core, n):
@@ -299,30 +327,56 @@ class TestBranchSearch:
         assert _indset.branch_search(adj) == reference(adj)
 
     def test_edgeless_graph(self):
-        """Every vertex peels; the memo would fill with masks whose hashes
-        collide (an int hashes to its value mod 2**61 - 1)."""
+        """Every vertex peels; a memo of the chain's masks would fill with
+        masks whose hashes collide (an int hashes to its value mod
+        2**61 - 1)."""
         assert _indset.branch_search([0] * 5000) == (5000, list(range(5000)))
+
+    def test_edgeless_graph_memory(self):
+        """Only the peel's current mask is kept, not one per peel: a list of
+        them is quadratic in the vertex count (77.6 MB traced at 20,000
+        vertices). What remains is mostly the closed neighbourhoods."""
+        tracemalloc.start()
+        try:
+            assert _indset.branch_search([0] * 20000)[0] == 20000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    def test_cycle_memo_holds_only_the_rest(self):
+        """Nothing peels on a cycle, so the search caches the cycle and
+        branches once; both sides peel away to nothing and cache no mask of
+        their chains."""
+        n = 2000
+        adj = _indset.adjacency_masks(n, [(v, (v + 1) % n) for v in range(n)])
+        full = (1 << n) - 1
+        memo = {}
+        assert _indset._max_set(adj, closed_masks(adj), full, memo).bit_count() == n // 2
+        assert list(memo) == [full]
 
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs(), data=st.data())
-    def test_max_set_replays_a_maximum_set(self, graph, data):
+    def test_max_set_returns_a_maximum_set(self, graph, data):
+        """The search returns an independent subset of any mask, of the
+        mask's brute-force independence number, and so does a second search
+        that reads the first one's memo."""
         adj = _indset.adjacency_masks(*graph[:2])
         closed = closed_masks(adj)
         mask = data.draw(st.integers(0, (1 << len(adj)) - 1))
+        size = _indset.brute_force_search(induced(adj, mask))[0]
         cache = {}
-        size = _indset._alpha(adj, closed, mask, cache)
-        chosen = _indset._max_set(adj, closed, mask, cache)
-        assert chosen & ~mask == 0
-        assert not any(adj[v] & chosen for v in range(len(adj)) if chosen >> v & 1)
-        assert chosen.bit_count() == size
+        for _ in range(2):
+            check_set(adj, _indset._max_set(adj, closed, mask, cache), mask, size)
 
     @settings(max_examples=200, deadline=None)
     @given(graph=small_graphs(), data=st.data())
     def test_peel_takes_the_lowest_vertex_some_maximum_set_holds(self, graph, data):
-        """Each peel removes the lowest peelable vertex `v` of its mask with
-        its neighbourhood, `1 + alpha(mask - N[v]) == alpha(mask)` by brute
-        force, and the rest has no vertex left to peel. Any `pending` that
-        holds every peelable vertex gives the same chain."""
+        """`_peel` ends where a reference chain ends that removes the lowest
+        peelable vertex `v` of its mask with its neighbourhood until none is
+        left, and takes that chain's vertices. At each step
+        `1 + alpha(mask - N[v]) == alpha(mask)` by brute force. Any
+        `pending` that holds every peelable vertex gives the same chain."""
         adj = _indset.adjacency_masks(*graph[:2])
         closed = closed_masks(adj)
         n = len(adj)
@@ -330,35 +384,15 @@ class TestBranchSearch:
         def alpha(mask):
             return _indset.brute_force_search(induced(adj, mask))[0]
 
-        def peelable(mask):
-            """The vertices of `mask` of degree 0 or 1, or of degree 2 with
-            adjacent neighbours, in index order."""
-            found = []
-            for v in range(n):
-                near = [u for u in range(n) if mask >> u & 1 and adj[v] >> u & 1]
-                if mask >> v & 1 and (len(near) <= 1 or len(near) == 2 and adj[near[0]] >> near[1] & 1):
-                    found.append(v)
-            return found
-
         mask = data.draw(st.integers(0, (1 << n) - 1))
-        pending = data.draw(st.integers(0, (1 << n) - 1)) | sum(1 << v for v in peelable(mask))
-        rest, chosen, peeled = _indset._peel(adj, closed, mask, pending)
-        taken = 0
-        for before, after in zip(peeled, peeled[1:] + [rest]):
-            v = peelable(before)[0]
-            assert after == before & ~closed[v]
-            assert 1 + alpha(after) == alpha(before)
-            taken |= 1 << v
-        assert (peeled + [rest])[0] == mask
-        assert chosen == taken
-        assert peelable(rest) == []
-
-    def test_max_set_reads_the_memo_strictly(self):
-        """Torus 4x4 has no vertex to peel, so the replay's first branch
-        reads the memo, and an empty one raises instead of reading as 0."""
-        adj = family_adjacency(FamilySpec("torus-lattice", mx=4, my=4))
-        with pytest.raises(KeyError):
-            _indset._max_set(adj, closed_masks(adj), (1 << len(adj)) - 1, {})
+        pending = data.draw(st.integers(0, (1 << n) - 1)) | sum(1 << v for v in peelable(adj, mask))
+        rest, taken = mask, 0
+        while peelable(adj, rest):
+            v = peelable(adj, rest)[0]
+            after = rest & ~closed[v]
+            assert 1 + alpha(after) == alpha(rest)
+            rest, taken = after, taken | 1 << v
+        assert _indset._peel(adj, closed, mask, pending) == (rest, taken)
 
     @pytest.mark.parametrize("labelling", ("identity", "reversed", "shuffled"))
     @pytest.mark.parametrize("k", (5, 6, 7, 8))
