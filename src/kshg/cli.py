@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import (
     check_subgraph_decomposition,
@@ -55,6 +55,26 @@ from .hypergraph import (
 from .linalg3 import Ray
 
 
+def _number(kind: type) -> Callable[[str], int | float]:
+    """`kind` (`int` or `float`) for plain numbers only: ValueError unless the
+    text is ASCII without `_`, since `int` and `float` also read `_`
+    separators and non-ASCII digits, which kshg takes in no number. Every
+    number read from a file, an option or the environment goes through
+    `_int` or `_float` below; each also serves as an argparse `type=`.
+    A leading sign stays allowed."""
+
+    def read(text: str) -> int | float:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__  # argparse names the type in its refusal
+    return read
+
+
+_int, _float = _number(int), _number(float)
+
+
 def parse_rays(text: str, normalize: bool = False) -> list[Ray]:
     """Parse the rays format: six reals per line (re im per amplitude)."""
     rays = []
@@ -68,7 +88,7 @@ def parse_rays(text: str, normalize: bool = False) -> list[Ray]:
                 f"line {lineno}: expected 6 numbers (re0 im0 re1 im1 re2 im2), got {len(parts)}"
             )
         try:
-            nums = [float(p) for p in parts]
+            nums = [_float(p) for p in parts]
         except ValueError:
             raise ValidationError(f"line {lineno}: malformed number in {line!r}") from None
         amplitudes = (
@@ -110,7 +130,7 @@ def parse_hypergraph(text: str) -> HyperGraph:
             if len(parts) != 2:
                 raise ValidationError(f"line {lineno}: expected 'vertices <k>'")
             try:
-                vertex_count = int(parts[1])
+                vertex_count = _int(parts[1])
             except ValueError:
                 raise ValidationError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
             if vertex_count < 1:
@@ -121,7 +141,7 @@ def parse_hypergraph(text: str) -> HyperGraph:
             if len(parts) != 4:
                 raise ValidationError(f"line {lineno}: expected 'edge <i> <j> <n>'")
             try:
-                i, j, weight = int(parts[1]), int(parts[2]), int(parts[3])
+                i, j, weight = _int(parts[1]), _int(parts[2]), _int(parts[3])
             except ValueError:
                 raise ValidationError(f"line {lineno}: edge fields must be integers") from None
             for v in (i, j):
@@ -165,7 +185,10 @@ def _fmt(value) -> str:
 def _emit(items: list[tuple[str, object]], as_json: bool) -> None:
     if as_json:
         payload = {k: (list(v) if isinstance(v, tuple) else v) for k, v in items}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        # One write per line, as below: with unbuffered stdout a single large
+        # write that a closed pipe cuts short reports no error.
+        for line in json.dumps(payload, indent=2).split("\n"):
+            sys.stdout.write(line + "\n")
     else:
         for key, value in items:
             sys.stdout.write(f"{key} = {_fmt(value)}\n")
@@ -194,7 +217,7 @@ def _load_graph(path: str) -> HyperGraph:
 def _positive_int(text: str) -> int:
     """The rule of every search and bit limit, as an argparse `type=`."""
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
@@ -205,7 +228,7 @@ def _positive_int(text: str) -> int:
 def _tolerance(text: str) -> float:
     """The rule of a verification tolerance, as an argparse `type=`."""
     try:
-        value = float(text)
+        value = _float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not (math.isfinite(value) and value >= 0):
@@ -227,7 +250,7 @@ def _family_spec(args: argparse.Namespace) -> FamilySpec:
     weights: int | tuple[int, ...]
     if args.weights is not None:
         try:
-            weights = tuple(int(w) for w in args.weights.split(","))
+            weights = tuple(_int(w) for w in args.weights.split(","))
         except ValueError:
             raise ValidationError(f"--weights must be comma-separated integers, got {args.weights!r}") from None
     else:
@@ -400,7 +423,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     def name(v: int) -> str:
         return vertex_label(g.vertices[v])
 
-    step_lines = []
+    lines = []
     for pos, step in enumerate(outcome.steps, start=1):
         if step.reason == "given":
             why = "given"
@@ -409,7 +432,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         else:
             triple = ", ".join(name(t) for t in g.bases[step.source])
             why = f"basis {{{triple}}} has two zeros"
-        step_lines.append(f"step {pos}: {name(step.vertex)} = {step.value} ({why})")
+        lines.append(f"step {pos}: {name(step.vertex)} = {step.value} ({why})")
     if outcome.contradiction:
         v = outcome.violation
         if v.kind == "edge":
@@ -420,28 +443,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         else:
             triple = ", ".join(name(t) for t in v.vertices)
             final = f"step {len(outcome.steps) + 1}: basis {{{triple}}} forced to contain no 1"
+        lines.append(final)
         verdict = "CONTRADICTION"
     else:
-        final = None
         verdict = "CONSISTENT"
+    items = [("command", "demo"), ("model", "clifton"), ("weight", args.n), ("vertices", len(g.vertices))]
     if args.json:
-        payload = {
-            "command": "demo",
-            "model": "clifton",
-            "weight": args.n,
-            "vertices": len(g.vertices),
-            "steps": step_lines + ([final] if final else []),
-            "result": verdict.lower(),
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _emit(items + [("steps", lines), ("result", verdict.lower())], True)
     else:
-        sys.stdout.write(f"command = demo\nmodel = clifton\nweight = {args.n}\n")
-        sys.stdout.write(f"vertices = {len(g.vertices)}\n")
-        for line in step_lines:
+        _emit(items, False)
+        for line in lines + [verdict]:
             sys.stdout.write(line + "\n")
-        if final:
-            sys.stdout.write(final + "\n")
-        sys.stdout.write(verdict + "\n")
     return 0
 
 
@@ -519,19 +531,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", "generate a family instance and write it to a file")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--k", type=int, default=None, help="size parameter for 1-D families")
-    p.add_argument("--mx", type=int, default=None, help="lattice width")
-    p.add_argument("--my", type=int, default=None, help="lattice height")
-    p.add_argument("--weight", type=int, default=1, help="uniform edge weight")
+    p.add_argument("--k", type=_int, default=None, help="size parameter for 1-D families")
+    p.add_argument("--mx", type=_int, default=None, help="lattice width")
+    p.add_argument("--my", type=_int, default=None, help="lattice height")
+    p.add_argument("--weight", type=_int, default=1, help="uniform edge weight")
     p.add_argument("--weights", default=None, help="comma-separated per-edge weights")
-    p.add_argument("--delta", type=float, default=0.005, help="tilt angle for the wheel7 demo rays")
+    p.add_argument("--delta", type=_float, default=0.005, help="tilt angle for the wheel7 demo rays")
     p.add_argument("--rays-out", default=None, help="write the wheel7 demo rays here and derive weights from them")
     p.add_argument("-o", "--output", required=True, help="output hyper-graph file")
     p.set_defaults(handler=_cmd_gen)
 
     p = add("weights", "build a hyper-graph from a rays file")
     p.add_argument("rays")
-    p.add_argument("--cap", type=int, default=None, help="drop pairs needing weight above this cap")
+    p.add_argument("--cap", type=_int, default=None, help="drop pairs needing weight above this cap")
     p.add_argument("--normalize", action="store_true", help="normalize rays of any length")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_weights)
@@ -566,13 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("demo", "run the forced-contradiction demo")
     p.add_argument("model", choices=("clifton",))
-    p.add_argument("--n", type=int, default=1, help="gadget weight")
+    p.add_argument("--n", type=_int, default=1, help="gadget weight")
     p.set_defaults(handler=_cmd_demo)
 
     p = add("check", "randomized identity checks")
     p.add_argument("identity", choices=("decomposition",))
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(handler=_cmd_check)
 
     p = add("verify", "verify user-supplied coordinates for an expansion")

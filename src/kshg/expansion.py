@@ -112,19 +112,20 @@ class ExpandedGraph:
     """Plain orthogonality graph with role metadata and basis triangles.
 
     The constructor (and so `dataclasses.replace`) checks the edges and
-    bases. `expand` and `expand_hyper_edge` build through `_assembled`
+    bases. `expand` and `expand_hyper_edge` build through `_assemble`
     instead, which skips that check, records the core count and holds only
     the fragments and the vertex count: `vertices`, `edges` and `bases`
-    are filled together, by `_fill`, the first time any of them is read.
-    `mis_oracle` and the decomposition check read only the fragments and
-    `vertex_count`, so they never fill a graph from `expand`.
+    are filled together, by `_fill` through `__getattr__`, the first time
+    any of them is read. `mis_oracle` and the decomposition check read only
+    the fragments and `vertex_count`, so they never fill a graph from
+    `expand`.
     """
 
     vertices: tuple[ExpandedVertex, ...]
     edges: frozenset[tuple[int, int]]
     bases: tuple[tuple[int, int, int], ...]
     fragments: tuple[Fragment, ...] = ()
-    # Core count of a graph from `_assembled`, whose fragments describe it;
+    # Core count of a graph from `_assemble`, whose fragments describe it;
     # None for any other graph, which `mis_oracle` solves over every vertex.
     _assembled_cores: ClassVar[int | None] = None
 
@@ -141,19 +142,13 @@ class ExpandedGraph:
                 if pair not in self.edges:
                     raise ValidationError(f"basis {triple} is not a triangle: missing edge {pair}")
 
-    @classmethod
-    def _assembled(cls, fragments: tuple[Fragment, ...], core_count: int, vertex_count: int) -> ExpandedGraph:
-        """A graph of `core_count` cores and the gadgets that `fragments` place,
-        as `_assemble` lays them out.
-
-        It is valid by construction, its first `core_count` vertices are the
-        cores, and its fragments describe the rest exactly. Its other fields
-        are left to `_fill`.
-        """
-        g = object.__new__(cls)
-        # a frozen dataclass: write the fields as its generated __init__ would
-        vars(g).update(fragments=fragments, _assembled_cores=core_count, vertex_count=vertex_count)
-        return g
+    def __getattr__(self, name: str):
+        # Python calls this only for a name missing from the instance dict: a
+        # constructed graph has its fields there from the start, and `_fill`
+        # puts all three there, so later reads are plain attribute reads.
+        if name in ("vertices", "edges", "bases") and self._assembled_cores is not None:
+            return _fill(self)[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @cached_property
     def vertex_count(self) -> int:
@@ -202,30 +197,6 @@ class ExpandedGraph:
             raise ValidationError(
                 f"no auxiliary vertex e{edge_id}:{kind}{level} in this graph"
             ) from None
-
-
-class _Filled:
-    """A graph field that `_fill` writes on first read, with the other two.
-
-    A non-data descriptor, like `cached_property`: the fill puts all three
-    fields in the instance dict, which then shadows it, so later reads cost
-    what a plain attribute does. A constructed graph has its fields in its
-    dict from the start and never reaches it.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, g: ExpandedGraph | None, owner: type | None = None):
-        if g is None:
-            return self
-        return _fill(g)[self.name]
-
-
-# Installed after the dataclass is made, so that it sees no field defaults.
-for _name in ("vertices", "edges", "bases"):
-    setattr(ExpandedGraph, _name, _Filled(_name))
-del _name
 
 
 @dataclass(frozen=True)
@@ -323,13 +294,15 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     and distinct and bases stay triangles: the graph is valid and its
     fragments describe it, so it is built with its core count and unchecked.
     Only the fragments and the vertex count are built here; `_fill` lays
-    out the vertices, edges and bases from them when one is first read.
+    out the vertices, edges and bases from them when one is first read,
+    through `ExpandedGraph.__getattr__`.
     """
+    # The fragments and the graph are right by construction, so their fields
+    # are written directly, as the frozen dataclasses' generated __init__
+    # would, without the constructors' checks: a fragment costs about half.
     fragments: list[Fragment] = []
     n, first_basis = vertex_count, 0
     for edge_id, i, j, weight in placements:
-        # right by construction, so the fields are written directly, without
-        # the constructor and its length checks, at about half the cost
         f = object.__new__(Fragment)
         vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight,
                        vertex_indices=(i, j, *range(n, n + 6 * weight)),
@@ -337,7 +310,9 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
         fragments.append(f)
         n += 6 * weight
         first_basis += 2 * weight
-    return ExpandedGraph._assembled(tuple(fragments), vertex_count, n)
+    g = object.__new__(ExpandedGraph)
+    vars(g).update(fragments=tuple(fragments), _assembled_cores=vertex_count, vertex_count=n)
+    return g
 
 
 def _fill(g: ExpandedGraph) -> dict:
@@ -361,7 +336,7 @@ def _fill(g: ExpandedGraph) -> dict:
 
 def expand_hyper_edge(weight: int, edge_id: int = 0) -> ExpandedGraph:
     """Standalone gadget for one hyper-edge; the cores are vertices 0 and 1."""
-    weight = _as_int(weight, "hyper-edge weight")
+    weight, edge_id = _as_int(weight, "hyper-edge weight"), _as_int(edge_id, "edge id")
     if weight < 0:
         raise ValidationError(f"hyper-edge weight must be non-negative, got {weight}")
     return _assemble(2, [(edge_id, 0, 1, weight)])
@@ -478,8 +453,10 @@ def check_enumeration_capacity(
 
     The limit is `max_bits` (default `DEFAULT_BIT_LIMIT`), capped at `ENUM_MAX_BITS`.
     """
-    if max_bits is not None and max_bits < 1:
-        raise ValidationError(f"max_bits must be positive, got {max_bits}")
+    if max_bits is not None:
+        max_bits = _as_int(max_bits, "max_bits")
+        if max_bits < 1:
+            raise ValidationError(f"max_bits must be positive, got {max_bits}")
     limit = min(DEFAULT_BIT_LIMIT if max_bits is None else max_bits, ENUM_MAX_BITS)
     if n > limit:
         raise CapacityError(f"{n} vertices exceed the {limit}-bit enumeration limit{advice}")
@@ -736,16 +713,20 @@ def ks_propagate(fragment: ExpandedGraph, forced: Mapping[int, int]) -> Propagat
     if not bases:
         raise ValidationError("propagation needs at least one complete basis (weight >= 1)")
     n = fragment.vertex_count
+    given: dict[int, int] = {}
     for v, val in forced.items():
+        v = _as_int(v, "forced vertex")
         if not 0 <= v < n:
             raise ValidationError(f"forced vertex {v} does not exist (graph has {n} vertices)")
+        val = _as_int(val, f"forced value for vertex {v}")
         if val not in (0, 1):
             raise ValidationError(f"forced value for vertex {v} must be 0 or 1, got {val!r}")
+        given[v] = val
 
     values: dict[int, int] = {}
     steps: list[PropagationStep] = []
     queue: deque[tuple[int, int, str, int | None]] = deque(
-        (v, val, "given", None) for v, val in sorted(forced.items())
+        (v, val, "given", None) for v, val in sorted(given.items())
     )
 
     def done(violation: Violation) -> PropagationOutcome:

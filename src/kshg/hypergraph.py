@@ -116,8 +116,10 @@ class HyperGraph:
 class FamilySpec:
     """Parameters selecting one instance of a generated hyper-graph family.
 
-    `weights` is either a uniform integer or one integer per edge in the
-    family's construction order (documented in `family_edge_pairs`).
+    `weights` is either a uniform integer or a sequence of one integer per
+    edge in the family's construction order (documented in
+    `family_edge_pairs`), stored as a tuple. `k`, `mx`, `my` and the weights
+    take integers only, through `_as_int`, as `HyperEdge` does.
     """
 
     family: str
@@ -125,6 +127,17 @@ class FamilySpec:
     mx: int | None = None
     my: int | None = None
     weights: int | tuple[int, ...] = 1
+
+    def __post_init__(self) -> None:
+        for name in ("k", "mx", "my"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _as_int(value, f"parameter {name}"))
+        try:
+            weights = tuple(_as_int(w, "hyper-edge weight") for w in self.weights)
+        except TypeError:  # not iterable: one weight for every edge
+            weights = _as_int(self.weights, "hyper-edge weight")
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -340,6 +353,7 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
 
 def check_search_capacity(n: int, max_vertices: int) -> None:
     """Refuse an exact independent-set search over more than `max_vertices` vertices."""
+    max_vertices = _as_int(max_vertices, "max_vertices")
     if max_vertices < 1:
         raise ValidationError(f"max_vertices must be positive, got {max_vertices}")
     if n > max_vertices:
@@ -374,6 +388,7 @@ def remove_vertex(h: HyperGraph, vertex: int) -> tuple[HyperGraph, tuple[int, ..
     Returns the reduced graph and the renumbering record: entry `new` holds
     the original index of the surviving vertex now numbered `new`.
     """
+    vertex = _as_int(vertex, "vertex index")
     if not 0 <= vertex < h.vertex_count:
         raise ValidationError(
             f"vertex p{vertex + 1} does not exist in a {h.vertex_count}-vertex hyper-graph"

@@ -57,6 +57,17 @@ class TestRaysFormat:
         with pytest.raises(ValidationError, match="line 2"):
             parse_rays("1 0 0 0 0 0\n1 0 x 0 0 0\n")
 
+    @pytest.mark.parametrize("line", ("1 0 0 0 0 0_0", "1_0 0 0 0 0 0", "\u0661 0 0 0 0 0", "1 0 0 0 0 \uff10"))
+    def test_numbers_must_be_plain_ascii(self, line):
+        # `float` reads `_` separators and non-ASCII digits: "0_0" as 0.0, Arabic-Indic one as 1.0
+        with pytest.raises(ValidationError, match=r"^line 1: malformed number in "):
+            parse_rays(line + "\n", normalize=True)
+
+    def test_signed_numbers_accepted(self):
+        signed = parse_rays("+1 -0 0 0 0 0\n0 0 -1e0 +0.0 0 0\n")
+        plain = parse_rays("1 0 0 0 0 0\n0 0 -1 0 0 0\n")
+        assert [list(r.amplitudes) for r in signed] == [list(r.amplitudes) for r in plain]
+
     def test_round_trip(self):
         rays = parse_rays(serialize_rays(clifton_realization()))
         for original, parsed in zip(clifton_realization(), rays):
@@ -91,6 +102,26 @@ class TestHyperGraphFormat:
     def test_negative_weight(self):
         with pytest.raises(ValidationError, match="negative"):
             parse_hypergraph("vertices 2\nedge 1 2 -1\n")
+
+    @pytest.mark.parametrize("text,message", (
+        ("vertices 1_0\n", "line 1: vertex count '1_0' is not an integer"),
+        ("vertices \uff13\n", "line 1: vertex count '\uff13' is not an integer"),
+        ("vertices 3\nedge 1 2 \u0663\n", "line 2: edge fields must be integers"),
+        ("vertices 3\nedge 1_1 2 1\n", "line 2: edge fields must be integers"),
+        ("vertices 3\nedge 1 2 +_1\n", "line 2: edge fields must be integers"),
+    ))
+    def test_numbers_must_be_plain_ascii(self, text, message):
+        # `int` reads `_` separators and non-ASCII digits: "1_0" as 10, Arabic-Indic three as 3
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_hypergraph(text)
+
+    def test_signs_and_unicode_separators_accepted(self):
+        plain = parse_hypergraph("vertices 3\nedge 1 2 1\n")
+        signed = parse_hypergraph("vertices +3\nedge +1 2 +1  # \u00e9_\n")
+        spaced = parse_hypergraph("vertices\u00a03\nedge 1\u20032 1\n")
+        assert (signed.vertex_count, signed.edges) == (spaced.vertex_count, spaced.edges) == (3, plain.edges)
+        with pytest.raises(ValidationError, match=r"^line 2: negative weight -1$"):
+            parse_hypergraph("vertices 3\nedge 1 2 -1\n")
 
     def test_self_loop(self):
         with pytest.raises(ValidationError, match="self-loop"):
@@ -443,6 +474,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("value, message", [
         ("0", "must be positive, got 0"),
         ("junk", "invalid int value: 'junk'"),
+        ("3_0", "invalid int value: '3_0'"),
+        ("+3_0", "invalid int value: '+3_0'"),
+        ("٣٠", "invalid int value: '٣٠'"),
     ])
     def test_bad_env_max_bits_is_1(self, capsys, tmp_path, monkeypatch, value, message):
         graph = tmp_path / "l2.hg"
@@ -450,6 +484,36 @@ class TestExitCodes:
         monkeypatch.setenv("KSHG_MAX_BITS", value)
         code, out, err = run(capsys, "brute", str(graph))
         assert (code, out, err) == (1, "", f"error: KSHG_MAX_BITS: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["demo", "clifton", "--n", "1_0"], "argument --n: invalid int value: '1_0'"),
+        (["gen", "linear", "--k", "٣", "-o", "x.hg"], "argument --k: invalid int value: '٣'"),
+        (["gen", "square-lattice", "--mx", "2", "--my", "２", "-o", "x.hg"],
+         "argument --my: invalid int value: '２'"),
+        (["gen", "linear", "--k", "3", "--weight", "1_0", "-o", "x.hg"],
+         "argument --weight: invalid int value: '1_0'"),
+        (["gen", "linear", "--k", "3", "--weights", "1_0,٢", "-o", "x.hg"],
+         "--weights must be comma-separated integers, got '1_0,٢'"),
+        (["gen", "wheel7", "--delta", "0_1", "-o", "x.hg"], "argument --delta: invalid float value: '0_1'"),
+        (["check", "decomposition", "--trials", "1_0"], "argument --trials: invalid int value: '1_0'"),
+        (["bound", "g.hg", "--max-vertices", "1_000"], "argument --max-vertices: invalid int value: '1_000'"),
+        (["brute", "g.hg", "--max-bits", "٢٠"], "argument --max-bits: invalid int value: '٢٠'"),
+        (["verify", "g.hg", "--rays", "g.rays", "--tol", "1e-9_0"], "argument --tol: invalid float value: '1e-9_0'"),
+    ])
+    def test_option_numbers_must_be_plain_ascii(self, capsys, tmp_path, monkeypatch, argv, message):
+        # the rule of the file formats: `int` and `float` alone read "1_0" as 10 and Arabic-Indic three as 3
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_signed_option_numbers_accepted(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "gen", "linear", "--k", "+3", "--weights", "+1,2", "-o", "a.hg")[0] == 0
+        assert run(capsys, "gen", "linear", "--k", "3", "--weights", "1,2", "-o", "b.hg")[0] == 0
+        assert (tmp_path / "a.hg").read_text() == (tmp_path / "b.hg").read_text()
+        monkeypatch.setenv("KSHG_MAX_BITS", "+24")
+        code, out, _ = run(capsys, "brute", "a.hg")
+        assert code == 0 and "brute_force_max = " in out
 
     def test_usage_error_is_1(self, capsys):
         code, _, _ = run(capsys, "gen", "linear", "--k", "3")  # missing -o
@@ -513,13 +577,15 @@ class TestExitCodes:
         assert code == 1
         assert "7 vertices" in err
 
-    def test_closed_stdout_is_1_without_traceback(self):
-        """The reader goes away after 64 bytes of a 690 KB report."""
+    @staticmethod
+    def _closed_after_64_bytes(*options: str, env: dict[str, str] | None = None) -> tuple[int, bytes, str]:
+        """Exit code, first 64 bytes and stderr of `kshg demo clifton --n 2000`
+        (a 690 KB text report) when the reader goes away after those bytes."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        argv = [sys.executable, "-m", "kshg.cli", "demo", "clifton", "--n", "2000"]
+        argv = [sys.executable, "-m", "kshg.cli", "demo", "clifton", "--n", "2000", *options]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env={**os.environ, "PYTHONPATH": path}) as child:
+                              env={**os.environ, **(env or {}), "PYTHONPATH": path}) as child:
             try:
                 head = child.stdout.read(64)
                 child.stdout.close()
@@ -527,7 +593,20 @@ class TestExitCodes:
             finally:
                 child.kill()
             err = child.stderr.read().decode()
+        return code, head, err
+
+    def test_closed_stdout_is_1_without_traceback(self):
+        """The reader goes away after 64 bytes of a 690 KB report."""
+        code, head, err = self._closed_after_64_bytes()
         assert head.startswith(b"command = demo\n")
+        assert "Traceback" not in err
+        assert (code, err) == (1, "error: standard output closed before the output was complete\n")
+
+    def test_closed_stdout_is_1_for_unbuffered_json(self):
+        """With unbuffered stdout one write of the whole JSON report was cut
+        short by the closed pipe without an error, and the command exited 0."""
+        code, head, err = self._closed_after_64_bytes("--json", env={"PYTHONUNBUFFERED": "1"})
+        assert head.startswith(b'{\n  "command": "demo",\n')
         assert "Traceback" not in err
         assert (code, err) == (1, "error: standard output closed before the output was complete\n")
 

@@ -1,7 +1,10 @@
 """Tests for gadget expansion, expression oracles, and constraint propagation."""
 
+import copy
 import dataclasses
+import pickle
 import random
+import re
 import sys
 import threading
 from itertools import product
@@ -257,6 +260,14 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match=r"^hyper-edge weight must be an integer, got 1.0$"):
             expand_hyper_edge(1.0)
 
+    @pytest.mark.parametrize("edge_id", (1.5, 1.0, "1", None))
+    def test_non_integer_edge_id_rejected(self, edge_id):
+        # expand_hyper_edge(1, edge_id=1.5) used to build AuxVertex(edge=1.5, ...)
+        with pytest.raises(ValidationError, match=r"^edge id must be an integer, got "):
+            expand_hyper_edge(1, edge_id)
+        g = expand_hyper_edge(1, np.int64(5))
+        assert {type(v.edge) for v in g.vertices[2:]} == {int} and g.fragments[0].edge_id == 5
+
 
 class TestEdgeObservable:
     def test_all_zero(self):
@@ -321,6 +332,14 @@ class TestBruteForceMax:
     def test_non_positive_bit_limit_is_a_validation_error(self, limit):
         with pytest.raises(ValidationError, match=f"^max_bits must be positive, got {limit}$"):
             brute_force_max(expand_hyper_edge(0), max_bits=limit)
+
+    @pytest.mark.parametrize("limit", (20.5, 30.0, "30"))
+    @pytest.mark.parametrize("enumeration", (brute_force_max, max_edge_observable))
+    def test_non_integer_bit_limit_is_a_validation_error(self, enumeration, limit):
+        # max_bits=20.5 used to be accepted, and its refusal printed the limit 20.5
+        with pytest.raises(ValidationError, match=f"^max_bits must be an integer, got {re.escape(repr(limit))}$"):
+            enumeration(expand_hyper_edge(1), max_bits=limit)
+        assert enumeration(expand_hyper_edge(1), max_bits=np.int64(8)) == 3 - (enumeration is max_edge_observable)
 
     def test_ceiling_boundary(self):
         expansion.check_enumeration_capacity(62, max_bits=200)
@@ -902,6 +921,60 @@ class TestLazyGraph:
             g.vertices, g.edges, g.bases, g.fragments)
 
 
+class TestFillHook:
+    """`ExpandedGraph.__getattr__` fills the vertices, edges and bases of a
+    graph from `expand`, and answers every other missing name, on any graph,
+    with an `AttributeError` that fills nothing. Copies and pickles of an
+    unfilled graph stay unfilled and fill as the original would."""
+
+    SPEC = FamilySpec("cyclic", k=4, weights=2)
+
+    def _graph(self, state: str) -> ExpandedGraph:
+        h = generate(self.SPEC)
+        if state == "constructed":
+            return _eager_assemble(h.vertex_count, [(pos, e.i, e.j, e.weight) for pos, e in enumerate(h.edges)])
+        g = expand(h)
+        if state == "filled":
+            g.bases
+        return g
+
+    @pytest.mark.parametrize("state", ("unfilled", "filled", "constructed"))
+    def test_missing_name_is_an_attribute_error(self, state):
+        g = self._graph(state)
+        before = dict(vars(g))
+        with pytest.raises(AttributeError, match=r"^'ExpandedGraph' object has no attribute 'nope'$"):
+            g.nope
+        assert not hasattr(g, "nope") and getattr(g, "nope", 7) == 7
+        # what Python 3.10's copy and pickle look up through the hook
+        for name in ("__getstate__", "__setstate__", "__deepcopy__"):
+            with pytest.raises(AttributeError, match=f"'{name}'$"):
+                ExpandedGraph.__getattr__(g, name)
+        assert vars(g) == before
+
+    def test_bare_instance_fills_nothing(self):
+        """Unpickling makes the instance before it restores the dict."""
+        bare = object.__new__(ExpandedGraph)
+        with pytest.raises(AttributeError, match=r"'vertices'$"):
+            bare.vertices
+        with pytest.raises(AttributeError, match=r"'__setstate__'$"):
+            ExpandedGraph.__getattr__(bare, "__setstate__")
+        assert vars(bare) == {}
+
+    @pytest.mark.parametrize("duplicate", (
+        copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g)),
+    ), ids=("copy", "deepcopy", "pickle"))
+    def test_copies_stay_unfilled(self, duplicate):
+        g = self._graph("unfilled")
+        twin = duplicate(g)
+        assert _unfilled(g) and _unfilled(twin)
+        assert twin._assembled_cores == g._assembled_cores == 4
+        reference = self._graph("constructed")
+        for name in READS:
+            assert getattr(twin, name) == getattr(reference, name), name
+        assert not _unfilled(twin) and _unfilled(g)
+        assert mis_oracle(twin, max_vertices=100) == mis_oracle(reference, max_vertices=100)
+
+
 class TestKsPropagate:
     def test_clifton_contradiction(self):
         g = expand_hyper_edge(1)
@@ -951,6 +1024,25 @@ class TestKsPropagate:
             ks_propagate(g, {0: 2})
         with pytest.raises(ValidationError):
             ks_propagate(g, {99: 1})
+
+    @pytest.mark.parametrize("forced,message", (
+        ({0.0: 1}, "forced vertex must be an integer, got 0.0"),
+        ({0: 1, "1": 1}, "forced vertex must be an integer, got '1'"),
+        ({0: 1.0}, "forced value for vertex 0 must be an integer, got 1.0"),
+        ({0: 1, 1: None}, "forced value for vertex 1 must be an integer, got None"),
+    ))
+    def test_rejects_non_integer_forced_map(self, forced, message):
+        # {0: 1.0} used to propagate, then fail in the assignment; {0.0: 1} raised a TypeError
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ks_propagate(expand_hyper_edge(1), forced)
+
+    def test_integer_like_forced_map(self):
+        g = expand_hyper_edge(2)
+        outcome = ks_propagate(g, {np.int64(0): np.int64(1), 1: True})
+        assert outcome == ks_propagate(g, {0: 1, 1: 1})
+        assert {(type(s.vertex), type(s.value)) for s in outcome.steps} == {(int, int)}
+        consistent = ks_propagate(g, {np.int32(0): True})
+        assert consistent == ks_propagate(g, {0: 1}) and not consistent.contradiction
 
     def test_deterministic(self):
         g = expand_hyper_edge(3)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from itertools import combinations
 
 import numpy as np
@@ -129,6 +130,27 @@ class TestGenerate:
         h = generate(spec)
         assert h.vertex_count == vertices
         assert len(h.edges) == edges
+
+    @pytest.mark.parametrize("fields,message", (
+        ({"family": "linear", "k": 3.5}, "parameter k must be an integer, got 3.5"),
+        ({"family": "linear", "k": 3.0}, "parameter k must be an integer, got 3.0"),
+        ({"family": "torus-lattice", "mx": 3, "my": 3.0}, "parameter my must be an integer, got 3.0"),
+        ({"family": "square-lattice", "mx": "3", "my": 3}, "parameter mx must be an integer, got '3'"),
+        ({"family": "linear", "k": 3, "weights": 1.5}, "hyper-edge weight must be an integer, got 1.5"),
+        ({"family": "linear", "k": 3, "weights": (1, 1.0)}, "hyper-edge weight must be an integer, got 1.0"),
+    ))
+    @pytest.mark.parametrize("entry", (closed_form_independence, generate))
+    def test_family_spec_takes_integers_only(self, entry, fields, message):
+        # closed_form_independence(FamilySpec("linear", k=3.5)) used to return 2.0
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            entry(FamilySpec(**fields))
+
+    def test_family_spec_stores_plain_ints(self):
+        spec = FamilySpec("linear", k=np.int64(3), weights=[np.int64(2), True])
+        assert (spec.k, spec.weights) == (3, (2, 1))
+        assert [type(x) for x in (spec.k, *spec.weights)] == [int] * 3
+        assert generate(spec).edges == generate(FamilySpec("linear", k=3, weights=(2, 1))).edges
+        assert type(FamilySpec("cyclic", k=3, weights=np.int32(2)).weights) is int
 
     def test_linear_k2_is_single_edge(self):
         h = generate(FamilySpec("linear", k=2, weights=3))
@@ -266,6 +288,13 @@ class TestMaxIndependentSet:
         with pytest.raises(ValidationError, match=f"^max_vertices must be positive, got {limit}$"):
             max_independent_set(HyperGraph(3), max_vertices=limit)
 
+    @pytest.mark.parametrize("limit", (2.5, 64.0, "64"))
+    def test_non_integer_limit_is_a_validation_error(self, limit):
+        # max_vertices=2.5 used to be accepted, and its refusal printed the limit 2.5
+        with pytest.raises(ValidationError, match=f"^max_vertices must be an integer, got {re.escape(repr(limit))}$"):
+            max_independent_set(HyperGraph(3), max_vertices=limit)
+        assert max_independent_set(HyperGraph(3), max_vertices=np.int64(3)).size == 3
+
     def test_unknown_method_is_checked_before_capacity(self):
         h = generate(FamilySpec("linear", k=100))
         with pytest.raises(ValidationError, match="^unknown search method 'bogus'; use 'branch' or 'brute'$"):
@@ -336,6 +365,17 @@ class TestRemoveVertex:
         h = HyperGraph(3)
         with pytest.raises(ValidationError):
             remove_vertex(h, 3)
+
+    @pytest.mark.parametrize("vertex", (1.0, 1.5, "1", None))
+    def test_non_integer_vertex_refused(self, vertex):
+        # remove_vertex(h, 1.0) used to succeed
+        with pytest.raises(ValidationError, match=r"^vertex index must be an integer, got "):
+            remove_vertex(HyperGraph(3, (HyperEdge(0, 2, 1),)), vertex)
+
+    def test_integer_like_vertex_accepted(self):
+        h = HyperGraph(3, (HyperEdge(0, 2, 1),))
+        sub, old_of_new = remove_vertex(h, np.int64(1))
+        assert (sub.vertex_count, sub.edges, old_of_new) == (2, (HyperEdge(0, 1, 1),), (0, 2))
 
     def test_weights_preserved_under_renumbering(self):
         h = HyperGraph(4, (HyperEdge(0, 1, 1), HyperEdge(1, 3, 2), HyperEdge(2, 3, 3)))
