@@ -1,5 +1,12 @@
 """Weighted hyper-graphs of qutrit rays: non-contextual bounds, exact
-value-assignment oracles, and quantum violation classification."""
+value-assignment oracles, and quantum violation classification.
+
+The classical bounds, the MIS oracle, propagation and the file formats are
+integer work and run without numpy. Only the qutrit layer,
+:mod:`kshg.linalg3`, and the enumeration kernel behind `brute_force_max`
+load numpy, so linalg3's names (`Ray`, `eigensystem`, ...) are imported
+on first use.
+"""
 
 from .bounds import (
     CheckResult,
@@ -56,15 +63,6 @@ from .hypergraph import (
     max_independent_set,
     random_hypergraph,
     remove_vertex,
-)
-from .linalg3 import (
-    EigenDecomposition,
-    Hermitian3,
-    Ray,
-    eigensystem,
-    overlap,
-    projector,
-    projector_sum,
 )
 
 __version__ = "0.1.0"
@@ -129,3 +127,30 @@ __all__ = [
     "vertex_label",
     "wheel7_demo_rays",
 ]
+
+_LINALG3 = (
+    "EigenDecomposition",
+    "Hermitian3",
+    "Ray",
+    "eigensystem",
+    "overlap",
+    "projector",
+    "projector_sum",
+)
+
+
+def __getattr__(name: str):
+    # Called only for names not yet in the namespace (PEP 562): the first
+    # read of a linalg3 name binds all of them, so later reads never get here.
+    if name not in _LINALG3:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import linalg3
+
+    namespace = globals()
+    for lazy in _LINALG3:
+        namespace[lazy] = getattr(linalg3, lazy)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LINALG3))

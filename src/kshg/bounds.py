@@ -7,9 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ValidationError
 from .expansion import Assignment, ExpandedGraph, _gadget, expand, vertex_label
@@ -24,7 +22,9 @@ from .hypergraph import (
     max_independent_set,
     remove_vertex,
 )
-from .linalg3 import Ray, eigensystem, overlap, projector_sum
+
+if TYPE_CHECKING:  # the ray functions import linalg3, and numpy, when called
+    from .linalg3 import Ray
 
 SPECTRAL_TOLERANCE = 1e-9
 
@@ -158,6 +158,8 @@ def quantum_range(h: HyperGraph, *, underweight: str = "error") -> QuantumRange:
     is below what their endpoint overlap requires make the model
     unrealizable; set `underweight="warn"` to downgrade that to a warning.
     """
+    from .linalg3 import eigensystem, overlap, projector_sum
+
     if underweight not in ("error", "warn"):
         raise ValidationError(f"underweight must be 'error' or 'warn', got {underweight!r}")
     if h.rays is None:
@@ -237,6 +239,10 @@ def verify_realization(
     (d) each gadget's auxiliary projectors sum to 2n times the identity
     within tol. Each check reports its worst deviation and where it occurs.
     """
+    import numpy as np
+
+    from .linalg3 import overlap, projector_sum
+
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and non-negative, got {tol}")
     n = len(g.vertices)
@@ -307,6 +313,8 @@ def verify_realization(
 def tetrahedron_rays() -> tuple[Ray, Ray, Ray, Ray]:
     """Four real rays toward the vertices of a regular tetrahedron; any two
     have overlap 1/3 and their projectors sum to 4/3 times the identity."""
+    from .linalg3 import Ray
+
     s = 1.0 / math.sqrt(3.0)
     return (
         Ray((s, s, s)),
@@ -325,6 +333,10 @@ def wheel7_demo_rays(delta: float = 0.005) -> tuple[Ray, ...]:
     with the tetrahedron rays, so the seven-projector sum is 7/3 times the
     identity up to O(delta) and nothing is parallel.
     """
+    import numpy as np
+
+    from .linalg3 import Ray
+
     if not 0.0 < abs(delta) < 0.1:
         raise ValidationError(f"tilt angle must be small and nonzero, got {delta!r}")
     axis = np.ones(3) / math.sqrt(3.0)

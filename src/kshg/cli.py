@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import warnings
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds import (
     check_subgraph_decomposition,
@@ -52,7 +52,9 @@ from .hypergraph import (
     generate,
     random_hypergraph,
 )
-from .linalg3 import Ray
+
+if TYPE_CHECKING:  # `parse_rays` imports linalg3, and numpy, when called
+    from .linalg3 import Ray
 
 
 def _number(kind: type) -> Callable[[str], int | float]:
@@ -60,7 +62,8 @@ def _number(kind: type) -> Callable[[str], int | float]:
     text is ASCII without `_`, since `int` and `float` also read `_`
     separators and non-ASCII digits, which kshg takes in no number. Every
     number read from a file, an option or the environment goes through
-    `_int` or `_float` below; each also serves as an argparse `type=`.
+    `_int` or `_float` below (or bare `int`, on a hyper-graph line already
+    found to be ASCII without `_`); each also serves as an argparse `type=`.
     A leading sign stays allowed."""
 
     def read(text: str) -> int | float:
@@ -77,6 +80,8 @@ _int, _float = _number(int), _number(float)
 
 def parse_rays(text: str, normalize: bool = False) -> list[Ray]:
     """Parse the rays format: six reals per line (re im per amplitude)."""
+    from .linalg3 import Ray
+
     rays = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -124,13 +129,15 @@ def parse_hypergraph(text: str) -> HyperGraph:
         if not line:
             continue
         parts = line.split()
+        # one check per line: `_int` on each field only where it can refuse
+        read = int if line.isascii() and "_" not in line else _int
         if parts[0] == "vertices":
             if vertex_count is not None:
                 raise ValidationError(f"line {lineno}: duplicate 'vertices' directive")
             if len(parts) != 2:
                 raise ValidationError(f"line {lineno}: expected 'vertices <k>'")
             try:
-                vertex_count = _int(parts[1])
+                vertex_count = read(parts[1])
             except ValueError:
                 raise ValidationError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
             if vertex_count < 1:
@@ -141,7 +148,7 @@ def parse_hypergraph(text: str) -> HyperGraph:
             if len(parts) != 4:
                 raise ValidationError(f"line {lineno}: expected 'edge <i> <j> <n>'")
             try:
-                i, j, weight = _int(parts[1]), _int(parts[2]), _int(parts[3])
+                i, j, weight = read(parts[1]), read(parts[2]), read(parts[3])
             except ValueError:
                 raise ValidationError(f"line {lineno}: edge fields must be integers") from None
             for v in (i, j):

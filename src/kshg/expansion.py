@@ -15,16 +15,17 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import ClassVar, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
 
 from . import _indset
 from .errors import CapacityError, ValidationError
 from .hypergraph import DEFAULT_MIS_LIMIT, HyperGraph, _as_int, check_search_capacity
 
+if TYPE_CHECKING:  # only the enumeration kernel imports numpy, when called
+    import numpy as np
+
 DEFAULT_BIT_LIMIT = 30
-# Hard ceiling on any bit limit: `_bits` holds adjacency masks in int64.
+# Hard ceiling on any bit limit: `_block_max` holds adjacency masks in int64.
 ENUM_MAX_BITS = 62
 # Largest score matrix of the exhaustive enumeration, in float32 entries
 # (256 KB); larger blocks cost peak memory and gain little speed.
@@ -376,14 +377,10 @@ def evaluate_edge_observable(fragment: ExpandedGraph, a: Assignment) -> int:
     return evaluate(fragment, a) - a.values[p] - a.values[q]
 
 
-def _bits(values, width: int) -> np.ndarray:
-    """One float32 0/1 row per value: its low `width` bits, least significant first."""
-    column = np.asarray(values, dtype=np.int64).reshape(-1, 1)
-    return ((column >> np.arange(width)) & 1).astype(np.float32)
-
-
 def _aligned_float32(shape: tuple[int, int]) -> np.ndarray:
     """An uninitialised float32 array that starts on a 64-byte boundary."""
+    import numpy as np
+
     nbytes = shape[0] * shape[1] * 4
     raw = np.empty(nbytes + 64, dtype=np.uint8)
     offset = -raw.ctypes.data % 64
@@ -400,15 +397,24 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     one block at a time. float32 is exact here: every value is an integer
     of size at most n^2 < 2^24.
     """
+    import numpy as np
+
+    # Nested, so that numpy is imported once per call: an import for each
+    # block's bit rows cost 2-3% of the walk.
+    def bits(values, width: int) -> np.ndarray:
+        """One float32 0/1 row per value: its low `width` bits, least significant first."""
+        column = np.asarray(values, dtype=np.int64).reshape(-1, 1)
+        return ((column >> np.arange(width)) & 1).astype(np.float32)
+
     low = min((n + 1) // 2, ENUM_LOW_BITS)
     high = n - low
-    adj = _bits(adjacency, n)
-    gain = 1.0 - _bits(penalty, n)[0]
+    adj = bits(adjacency, n)
+    gain = 1.0 - bits(penalty, n)[0]
 
     def objective(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         return x @ gain[lo:hi] - 0.5 * ((x @ adj[lo:hi, lo:hi]) * x).sum(axis=1)
 
-    x_low = _bits(np.arange(1 << low), low)
+    x_low = bits(np.arange(1 << low), low)
     # `table` and `scores` start on 64-byte boundaries wherever the heap puts
     # their buffers: at other offsets the product and row max ran 6-20% slower
     # per block, so the time followed the heap's state.
@@ -426,7 +432,7 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     scores = _aligned_float32((min(chunk, 1 << high), 1 << low))
     best = 0.0
     for start in range(0, 1 << high, chunk):
-        x_high = _bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
+        x_high = bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
         block_scores = np.matmul(x_high @ coupling, table, out=scores[: len(x_high)])
         block = block_scores.max(axis=1) + objective(x_high[:, :high], low, n)
         best = max(best, float(block.max()))

@@ -17,11 +17,13 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import _indset
 from .errors import CapacityError, ValidationError
-from .linalg3 import Ray, overlap
+
+if TYPE_CHECKING:  # only graphs with rays import linalg3, and numpy
+    from .linalg3 import Ray
 
 PARALLEL_TOLERANCE = 1e-9
 WEIGHT_BOUNDARY_TOLERANCE = 1e-9
@@ -93,6 +95,8 @@ class HyperGraph:
                 raise ValidationError(f"duplicate hyper-edge (p{e.i + 1}, p{e.j + 1})")
             previous = pair
         if self.rays is not None:
+            from .linalg3 import overlap
+
             rays = tuple(self.rays)
             object.__setattr__(self, "rays", rays)
             if len(rays) != self.vertex_count:
@@ -100,7 +104,7 @@ class HyperGraph:
                     f"{len(rays)} rays cannot bind to {self.vertex_count} vertices"
                 )
             for e in canonical:
-                _non_parallel_overlap(rays, e.i, e.j, " across a hyper-edge")
+                _non_parallel(overlap(rays[e.i], rays[e.j]), e.i, e.j, " across a hyper-edge")
 
     @cached_property
     def weight_sum(self) -> int:
@@ -172,9 +176,9 @@ def hyper_edge_weight(overlap_value: float, cap: int | None = None) -> int | Non
     return weight
 
 
-def _non_parallel_overlap(rays: Sequence[Ray], a: int, b: int, where: str = "") -> float:
-    """Overlap of rays a and b; parallel rays are refused, `where` ending the message."""
-    o = overlap(rays[a], rays[b])
+def _non_parallel(o: float, a: int, b: int, where: str = "") -> float:
+    """The overlap `o` of rays a and b; parallel rays are refused, `where`
+    ending the message. Callers import `overlap` once per call, not per pair."""
     if o >= 1.0 - PARALLEL_TOLERANCE:
         raise ValidationError(f"rays p{a + 1} and p{b + 1} are parallel (overlap {o:.12g}){where}")
     return o
@@ -182,13 +186,15 @@ def _non_parallel_overlap(rays: Sequence[Ray], a: int, b: int, where: str = "") 
 
 def build_from_rays(rays: Sequence[Ray], cap: int | None = None) -> HyperGraph:
     """Hyper-graph on the given rays with one weighted edge per admissible pair."""
+    from .linalg3 import overlap
+
     rays = tuple(rays)
     if len(rays) < 2:
         raise ValidationError(f"need at least 2 rays to build a hyper-graph, got {len(rays)}")
     edges = []
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            weight = hyper_edge_weight(_non_parallel_overlap(rays, i, j), cap)
+            weight = hyper_edge_weight(_non_parallel(overlap(rays[i], rays[j]), i, j), cap)
             if weight is not None:
                 edges.append(HyperEdge(i, j, weight))
     return HyperGraph(len(rays), tuple(edges), rays)
@@ -341,10 +347,12 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
     n = entry.vertices(*values)
     pairs = entry.pairs(*values)
     if rays is not None:
+        from .linalg3 import overlap
+
         rays = tuple(rays)
         if len(rays) != n:
             raise ValidationError(f"family {spec.family!r} needs {n} rays, got {len(rays)}")
-        weights = [hyper_edge_weight(_non_parallel_overlap(rays, a, b)) for a, b in pairs]
+        weights = [hyper_edge_weight(_non_parallel(overlap(rays[a], rays[b]), a, b)) for a, b in pairs]
     else:
         weights = family_weights(spec, len(pairs))
     edges = tuple(HyperEdge(a, b, w) for (a, b), w in zip(pairs, weights))

@@ -59,6 +59,17 @@ class TestRay:
         with pytest.raises(ValueError):
             r.amplitudes[0] = 0.0
 
+    def test_norm_is_numpys_bit_for_bit(self):
+        # the reference: dividing by `np.linalg.norm`, on contiguous and strided vectors
+        rng = np.random.RandomState(29)
+        for _ in range(2000):
+            m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            m *= 10.0 ** rng.randint(-3, 4)
+            for vec in (m[0], m[:, 1]):
+                once = vec / float(np.linalg.norm(vec))  # `normalized`, then the constructor
+                expected = once / float(np.linalg.norm(once))
+                assert Ray.normalized(vec).amplitudes.tobytes() == expected.tobytes()
+
 
 class TestOverlap:
     def test_identical_rays(self):
@@ -132,6 +143,21 @@ class TestProjectorSum:
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError, match="no vertices"):
             projector_sum([])
+
+    def test_equals_running_sum_bit_for_bit(self):
+        # the reference: a zero matrix plus one outer product per ray, in order
+        rng = np.random.RandomState(31)
+        for _ in range(300):
+            count = rng.randint(1, 121)
+            vecs = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+            vecs *= rng.choice([0.0, -0.0, 1.0, 1.0], size=(count, 3))  # signed zeros, real entries
+            rays = [Ray.normalized(v) for v in vecs if np.any(v)]
+            if not rays:
+                continue
+            expected = np.zeros((3, 3), dtype=np.complex128)
+            for r in rays:
+                expected += np.outer(r.amplitudes, r.amplitudes.conj())
+            assert projector_sum(rays).matrix.tobytes() == expected.tobytes()
 
 
 class TestHermitian3:
