@@ -25,10 +25,13 @@ if TYPE_CHECKING:  # only the enumeration kernel imports numpy, when called
     import numpy as np
 
 DEFAULT_BIT_LIMIT = 30
-# Hard ceiling on any bit limit: `_block_max` holds adjacency masks in int64.
+# Hard ceiling on any bit limit: `_block_max` holds adjacency masks in 64-bit words.
 ENUM_MAX_BITS = 62
 # Largest score matrix of the exhaustive enumeration, in float32 entries
-# (256 KB); larger blocks cost peak memory and gain little speed.
+# (256 KB), and a power of two, so that every block of a slab is whole. Larger
+# blocks are slower: the product is bound by call cost and the L2 size, and
+# 2^17 entries took 1.3x / 1.5x the time of 2^16 at 22 / 26 bits (one BLAS
+# thread, 2-core Xeon).
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
@@ -391,20 +394,23 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     """Exact max of the expression (minus penalized vertices) over all 2^n assignments.
 
     With the vertices split into a low half L and a high half H, the
-    expression is f_L(x_L) + f_H(x_H) - x_L . (A_LH x_H). One matrix product
-    scores a block of high states against every low state; each row's max
-    plus f_H is the best over that high state. High states are generated
-    one block at a time. float32 is exact here: every value is an integer
-    of size at most n^2 < 2^24.
+    expression is f_L(x_L) + f_H(x_H) - x_L . (A_LH x_H). The high states
+    are walked in slabs of whole blocks. Per slab, their bit rows, their
+    coupled rows (-x_H A_HL beside a constant 1 that picks f_L) and f_H are
+    computed once; per block, one matrix product scores the block against
+    every low state and one row max keeps each high state's best. Each
+    slab's best is then the max of those row maxima plus f_H. Every state
+    is scored. float32 is exact here: every value is an integer of size at
+    most n^2 < 2^24.
     """
     import numpy as np
 
-    # Nested, so that numpy is imported once per call: an import for each
-    # block's bit rows cost 2-3% of the walk.
+    # Nested, so that numpy is imported once per call: a helper that imported
+    # it for each use cost 2-3% of the walk.
     def bits(values, width: int) -> np.ndarray:
         """One float32 0/1 row per value: its low `width` bits, least significant first."""
-        column = np.asarray(values, dtype=np.int64).reshape(-1, 1)
-        return ((column >> np.arange(width)) & 1).astype(np.float32)
+        octets = np.asarray(values, dtype="<u8").reshape(-1, 1).view(np.uint8)
+        return np.unpackbits(octets, axis=1, count=width, bitorder="little").astype(np.float32)
 
     low = min((n + 1) // 2, ENUM_LOW_BITS)
     high = n - low
@@ -412,31 +418,44 @@ def _block_max(n: int, adjacency: Sequence[int], penalty: int = 0) -> int:
     gain = 1.0 - bits(penalty, n)[0]
 
     def objective(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return x @ gain[lo:hi] - 0.5 * ((x @ adj[lo:hi, lo:hi]) * x).sum(axis=1)
+        quadratic = x @ adj[lo:hi, lo:hi]
+        quadratic *= x
+        return x @ gain[lo:hi] - 0.5 * quadratic.sum(axis=1)
 
-    x_low = bits(np.arange(1 << low), low)
-    # `table` and `scores` start on 64-byte boundaries wherever the heap puts
-    # their buffers: at other offsets the product and row max ran 6-20% slower
-    # per block, so the time followed the heap's state.
+    # `table`, `scores` and `coupled` start on 64-byte boundaries wherever the
+    # heap puts their buffers: at other offsets the product and row max ran
+    # 6-20% slower per block, so the time followed the heap's state.
     table = _aligned_float32((low + 1, 1 << low))
-    table[:low] = x_low.T
-    table[low] = objective(x_low, 0, low)
-    # High states carry an always-set extra top bit; `coupling` maps it onto
-    # the f_L row of `table`, so one product gives f_L - x_L . (A_LH x_H).
-    coupling = np.zeros((high + 1, low + 1), dtype=np.float32)
-    coupling[:high, :low] = -adj[low:, :low]
-    coupling[high, low] = 1.0
-    chunk = ENUM_BLOCK_ENTRIES >> low
-    # One score matrix per call, refilled per block: a fresh 256 KB matrix per
-    # block may be page-faulted in anew each time, as the malloc heap's state has it.
-    scores = _aligned_float32((min(chunk, 1 << high), 1 << low))
-    best = 0.0
-    for start in range(0, 1 << high, chunk):
-        x_high = bits(np.arange(start, min(start + chunk, 1 << high)) | (1 << high), high + 1)
-        block_scores = np.matmul(x_high @ coupling, table, out=scores[: len(x_high)])
-        block = block_scores.max(axis=1) + objective(x_high[:, :high], low, n)
-        best = max(best, float(block.max()))
-    return int(best)
+    table[:low] = bits(np.arange(1 << low), low).T
+    table[low] = objective(table[:low].T, 0, low)
+    coupling = -adj[low:, :low]
+    states = 1 << high
+    chunk = min(ENUM_BLOCK_ENTRIES >> low, states)
+    # Whole blocks per slab, as many as keep a slab's bit rows and coupled
+    # rows (n + 1 entries per state) within a quarter of a score matrix:
+    # slabs four times as large held more memory and ran no faster.
+    slab = min(max(ENUM_BLOCK_ENTRIES // (4 * (n + 1)) // chunk, 1) * chunk, states)
+    # Buffers for one call, refilled per slab and per block: a fresh 256 KB
+    # matrix per block may be page-faulted in anew each time, as the malloc
+    # heap's state has it.
+    scores = _aligned_float32((chunk, 1 << low))
+    coupled = _aligned_float32((slab, low + 1))
+    # The last column stays 1 and picks the f_L row of `table`, so one
+    # product gives f_L - x_L . (A_LH x_H).
+    coupled[:, low] = 1.0
+    rowmax = np.empty(slab, dtype=np.float32)
+
+    # A function per slab, so that one slab's bit rows are freed before the
+    # next slab's are built.
+    def slab_max(start: int) -> float:
+        rows = min(slab, states - start)
+        x_high = bits(np.arange(start, start + rows), high)
+        np.matmul(x_high, coupling, out=coupled[:rows, :low])
+        for r in range(0, rows, chunk):
+            np.matmul(coupled[r : r + chunk], table, out=scores).max(axis=1, out=rowmax[r : r + chunk])
+        return float((rowmax[:rows] + objective(x_high, low, n)).max())
+
+    return int(max(slab_max(start) for start in range(0, states, slab)))
 
 
 def expanded_vertex_count(h: HyperGraph) -> int:

@@ -315,6 +315,25 @@ def small_expansions(draw):
     )
 
 
+@st.composite
+def block_expansions(draw):
+    """2-12 cores, weights 0-3, 17-24 expanded vertices."""
+    k = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight_sum = draw(st.integers(-((k - 17) // 6), (24 - k) // 6))
+    # each draw of a pair adds 1 to its weight
+    heavy = draw(st.lists(st.sampled_from(pairs), min_size=weight_sum, max_size=weight_sum))
+    return HyperGraph(
+        k,
+        tuple(
+            HyperEdge(i, j, heavy.count((i, j)))
+            for (i, j), p in zip(pairs, present)
+            if p or (i, j) in heavy
+        ),
+    )
+
+
 class TestSoundness:
     def test_oracle_below_bound(self):
         rng = random.Random(31)
@@ -331,6 +350,16 @@ class TestSoundness:
         formula = 2 * h.weight_sum + max_independent_set(h, method="brute").size
         assert classical_bound(h).total == formula == mis_oracle(g) == brute_force_max(g)
         assert _indset.independence_number(g.adjacency_masks) == formula
+
+    # With the default constants the enumeration runs 2-256 blocks here, and
+    # at 20-24 bits 2-7 slabs, the last one partial; `small_expansions` stays
+    # within one block.
+    @settings(max_examples=30, deadline=None)
+    @given(h=block_expansions())
+    def test_oracles_agree_past_one_block(self, h):
+        assert 17 <= expanded_vertex_count(h) <= 24
+        g = expand(h)
+        assert brute_force_max(g) == mis_oracle(g) == classical_bound(h).total
 
 
 class TestVerifyRealization:

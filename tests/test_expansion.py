@@ -7,12 +7,13 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _fixtures import _eager_assemble, _fragment_core_count, _gray_walk_max, _max_sum_reference
@@ -403,10 +404,18 @@ class TestBlockEnumeration:
             assert a.ctypes.data % 64 == 0
             assert a.shape == shape and a.dtype == np.float32 and a.flags.c_contiguous
 
-    # The second setting splits even small graphs into many blocks of 4-32 states.
-    @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5)])
+    # The second setting splits even small graphs into many blocks of 4-32
+    # states, one block per slab. In the third, a block holds 2^10 >> 8 = 4
+    # high states at 16 vertices, and a slab the whole blocks whose bit rows
+    # and coupled rows (n + 1 = 17 entries per state) fit in a quarter of
+    # 2^10 entries: 256 // 17 = 15 states, cut to 3 blocks of 4. So the 2^8
+    # high states run as 21 slabs of 12 and a last slab of 4, one block. At
+    # 13-15 vertices the slabs hold 2-4 blocks each. On an edgeless graph the
+    # best state sets every vertex: the last high state, in the last slab.
+    @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5), (8, 1 << 10)])
     @settings(max_examples=100, deadline=None)
     @given(case=masked_graphs())
+    @example(case=(16, [0] * 16, 0))
     def test_matches_gray_walk(self, low_bits, block_entries, case):
         n, adjacency, penalty = case
         with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries):
@@ -424,6 +433,25 @@ class TestBlockEnumeration:
         g = expand(generate(spec))
         assert len(g.vertices) == 26
         assert brute_force_max(g) == family_bound(spec).total == 10
+
+    # Slabs keep the walk's memory flat in the bit count (about 0.6 MB here):
+    # the bit rows and coupled rows of all 2^14 high states of the 26-bit
+    # instance would take 1.7 MB alone.
+    @pytest.mark.parametrize("spec, bits", [
+        (FamilySpec("cyclic", k=8, weights=(1, 0, 0, 1, 0, 0, 1, 0)), 26),
+        (FamilySpec("cyclic", k=4, weights=(2, 0, 2, 0)), 28),
+    ])
+    def test_peak_memory_stays_under_a_ceiling(self, spec, bits):
+        g = expand(generate(spec))
+        assert len(g.adjacency_masks) == bits
+        tracemalloc.start()
+        try:
+            value = brute_force_max(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == family_bound(spec).total
+        assert peak < 1_000_000
 
 
 @st.composite
