@@ -164,8 +164,10 @@ def hyper_edge_weight(overlap_value: float, cap: int | None = None) -> int | Non
                 f"overlap {overlap_value:.12g} >= 1 means parallel rays; no finite weight exists"
             )
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap_value!r}")
-    if cap is not None and cap < 1:
-        raise ValidationError(f"weight cap must be a positive integer, got {cap}")
+    if cap is not None:
+        cap = _as_int(cap, "weight cap")
+        if cap < 1:
+            raise ValidationError(f"weight cap must be a positive integer, got {cap}")
     shifted = overlap_value - WEIGHT_BOUNDARY_TOLERANCE
     if shifted <= 0.0:
         weight = 0

@@ -132,13 +132,10 @@ def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int,
     for edge_id, i, j, weight in placements:
         labels, local_edges, local_bases = _gadget(weight)
         order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
-        first_basis = len(bases)
         vertices += [AuxVertex(edge_id, kind, level) for kind, level in labels]
         edges += [(order[s], order[t]) for s, t in local_edges]
         bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
-        fragments.append(
-            Fragment(edge_id, (i, j), weight, order, tuple(range(first_basis, len(bases))))
-        )
+        fragments.append(Fragment(edge_id, (i, j), weight, order))
     return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
 
 

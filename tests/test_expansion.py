@@ -270,6 +270,21 @@ class TestEvaluate:
         assert {type(v.edge) for v in g.vertices[2:]} == {int} and g.fragments[0].edge_id == 5
 
 
+@st.composite
+def shuffled_edge_expansions(draw):
+    """A single-edge expansion of weight 0-3 with its vertices in a random
+    order, so the cores may sit anywhere, and with random extra edges."""
+    g = expand_hyper_edge(draw(st.integers(0, 3)))
+    n = len(g.vertices)
+    perm = draw(st.permutations(range(n)))
+    extra = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), max_size=n))
+    vertices = [None] * n
+    for old, new in enumerate(perm):
+        vertices[new] = g.vertices[old]
+    edges = {tuple(sorted((perm[i], perm[j]))) for i, j in g.edges} | {tuple(sorted(pair)) for pair in extra}
+    return ExpandedGraph(tuple(vertices), frozenset(edges), ())
+
+
 class TestEdgeObservable:
     def test_all_zero(self):
         g = expand_hyper_edge(1)
@@ -288,6 +303,14 @@ class TestEdgeObservable:
     def test_maximum_n2(self):
         g = expand_hyper_edge(2)
         assert max_edge_observable(g) == 4
+
+    # The reference walks all n vertices with the cores penalized; the
+    # observable walks only the others.
+    @settings(max_examples=30, deadline=None)
+    @given(g=shuffled_edge_expansions())
+    def test_matches_gray_walk_with_penalized_cores(self, g):
+        p, q = g.core_indices
+        assert max_edge_observable(g) == _gray_walk_max(len(g.vertices), g.adjacency_masks, (1 << p) | (1 << q))
 
     def test_requires_two_cores(self):
         h = generate(FamilySpec("complete", k=3, weights=1))
@@ -384,7 +407,7 @@ class TestBruteForceMax:
 
 @st.composite
 def masked_graphs(draw):
-    """(n, adjacency masks, penalty mask) on 0-16 vertices; row i's bits above i pick i's edges."""
+    """(n, adjacency masks) on 0-16 vertices; row i's bits above i pick i's edges."""
     n = draw(st.integers(0, 16))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     adjacency = [0] * n
@@ -393,7 +416,7 @@ def masked_graphs(draw):
             if (row >> j) & 1:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
-    return n, adjacency, draw(st.integers(0, (1 << n) - 1))
+    return n, adjacency
 
 
 class TestBlockEnumeration:
@@ -415,18 +438,19 @@ class TestBlockEnumeration:
     @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5), (8, 1 << 10)])
     @settings(max_examples=100, deadline=None)
     @given(case=masked_graphs())
-    @example(case=(16, [0] * 16, 0))
+    @example(case=(16, [0] * 16))
     def test_matches_gray_walk(self, low_bits, block_entries, case):
-        n, adjacency, penalty = case
+        n, adjacency = case
         with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries):
-            assert expansion._block_max(n, adjacency, penalty) == _gray_walk_max(n, adjacency, penalty)
+            assert expansion._block_max(n, adjacency) == _gray_walk_max(n, adjacency)
 
     def test_empty_graph(self):
         assert brute_force_max(ExpandedGraph((), frozenset(), ())) == 0
 
     def test_single_vertex(self):
         assert brute_force_max(ExpandedGraph((CoreVertex(0),), frozenset(), ())) == 1
-        assert expansion._block_max(1, (0,), penalty=1) == 0
+        assert expansion._block_max(1, (0,)) == 1
+        assert expansion._block_max(0, ()) == 0  # a weight-0 edge observable walks no vertex
 
     def test_26_bit_family_instance(self):
         spec = FamilySpec("cyclic", k=8, weights=(1, 0, 0, 1, 0, 0, 1, 0))
@@ -457,13 +481,14 @@ class TestBlockEnumeration:
 @st.composite
 def max_sum_problems(draw):
     n = draw(st.integers(0, 10))
-    gain = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    # a `_FORBIDDEN` gain, as `_fix` leaves on a neighbour of a variable fixed at 1
+    gain = draw(st.lists(st.integers(-1, 2) | st.just(expansion._FORBIDDEN), min_size=n, max_size=n))
     factors = []
     if n >= 2:
         scope = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
         table = st.lists(st.integers(-2, 2) | st.just(expansion._FORBIDDEN), min_size=4, max_size=4)
         factors = draw(st.lists(st.tuples(scope, table), max_size=2 * n))
-    return gain, factors, draw(st.integers(0, min(2, n)))
+    return gain, factors
 
 
 @st.composite
@@ -484,16 +509,16 @@ class TestMaxSum:
     @settings(max_examples=200, deadline=None)
     @given(problem=max_sum_problems())
     def test_matches_enumeration(self, problem):
-        gain, factors, kept = problem
-        order = expansion._elimination_order(len(gain), (s for s, _ in factors), kept)
-        assert expansion._max_sum(gain, factors, order, kept) == _max_sum_reference(gain, factors, kept)
+        gain, factors = problem
+        order = expansion._elimination_order(len(gain), (s for s, _ in factors))
+        assert expansion._max_sum(gain, factors, order) == _max_sum_reference(gain, factors)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(problem=max_sum_problems(), data=st.data())
     def test_exact_under_any_order(self, problem, data):
-        gain, factors, kept = problem
-        order = data.draw(st.permutations(range(kept, len(gain))))  # the kept variables stay last
-        assert expansion._max_sum(gain, factors, order, kept) == _max_sum_reference(gain, factors, kept)
+        gain, factors = problem
+        order = data.draw(st.permutations(range(len(gain))))
+        assert expansion._max_sum(gain, factors, order) == _max_sum_reference(gain, factors)[0]
 
     def test_complete_graph_is_too_wide(self):
         assert expansion._elimination_order(18, [(i, j) for i in range(18) for j in range(i + 1, 18)]) is None
@@ -636,7 +661,7 @@ class TestMisOracle:
         bare = ExpandedGraph(path.vertices, path.edges, path.bases)
         # two fragments on one pair: as many edges as listed, but (2, 3) is no fragment's
         doubled = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(0, 1), (2, 3)}), (),
-                                (expansion.Fragment(0, (0, 1), 0, (0, 1), ()),) * 2)
+                                (expansion.Fragment(0, (0, 1), 0, (0, 1)),) * 2)
         hand_built = [(dropped, 8), (swapped, 8), (extra, 5), (bare, 6), (doubled, 2)]
         assert [_fragment_core_count(g) for g in (triangle, path)] == [3, 3]
         for g, expected in hand_built:
@@ -681,7 +706,7 @@ class TestConditioning:
         # 2^8 bounds the subproblems of 8 variables, so this split never refuses
         with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=1 << 8):
             parts = expansion._conditioned(gain, factors)
-            best = max(const + expansion._max_sum(g, f, order)[0] for g, f, const, order in parts)
+            best = max(const + expansion._max_sum(g, f, order) for g, f, const, order in parts)
             assert all(order == expansion._elimination_order(len(g), (s for s, _ in f)) for g, f, _, order in parts)
         assert best == _max_sum_reference(gain, factors, 0)[0]
         assert all(x != expansion._FORBIDDEN for g, _, _, _ in parts for x in g)
@@ -755,6 +780,8 @@ class TestConditioning:
         assert expansion._fix([1, 1, 1], factors, 0, {1: 0, 2: 0}) == ([2, 0, 0], [], 1)
         # one call fixes a variable at 1 and the neighbour it forbids at 0
         assert expansion._fix([1, 1, 1], factors, 0, {2: 1, 1: 0}) == ([2, 0, 0], [], 2)
+        # fixed at 1 alone, it leaves that neighbour a forbidden gain, as `_gadget_table` does
+        assert expansion._fix([1, 1, 1], factors, 0, {2: 1}) == ([1, expansion._FORBIDDEN, 0], factors[:1], 1)
 
 
 class TestAssembledGraphs:

@@ -56,6 +56,18 @@ class TestHyperEdgeWeight:
     def test_cap_keeps_small_overlap(self):
         assert hyper_edge_weight(0.3, cap=1) == 1
 
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ValidationError, match=f"^weight cap must be a positive integer, got {cap}$"):
+            hyper_edge_weight(0.5, cap=cap)
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, "2"])
+    def test_non_integer_cap_rejected(self, cap):
+        # cap=1.5 used to drop the pair, and cap="2" raised a bare TypeError
+        with pytest.raises(ValidationError, match=f"^weight cap must be an integer, got {re.escape(repr(cap))}$"):
+            hyper_edge_weight(0.5, cap=cap)
+        assert hyper_edge_weight(0.5, cap=np.int64(2)) == 2
+
     def test_parallel_rejected(self):
         with pytest.raises(ValidationError, match="parallel"):
             hyper_edge_weight(1.0)
@@ -96,6 +108,8 @@ class TestBuildFromRays:
         h = build_from_rays([a, b], cap=1)
         assert h.vertex_count == 2
         assert h.edges == ()
+        with pytest.raises(ValidationError, match="^weight cap must be an integer, got 1.5$"):
+            build_from_rays([a, b], cap=1.5)
 
     def test_parallel_pair_named(self):
         a = Ray((1, 0, 0))
