@@ -92,12 +92,15 @@ def hypergraph_observable_value(h: HyperGraph, g: ExpandedGraph, a: Assignment) 
         raise ValidationError(
             f"assignment covers {len(a)} vertices but the expansion has {g.vertex_count}"
         )
-    total = sum(a.values[: h.vertex_count])
+    values = a.values
+    total = sum(values[: h.vertex_count])
     for frag in g.fragments:
         # Edge observable: auxiliary values minus the gadget's edge products.
         _, local_edges, _ = _gadget(frag.weight)
-        local = [a.values[t] for t in frag.vertex_indices]
-        total += sum(local[2:]) - sum(local[s] * local[t] for s, t in local_edges)
+        i, j = frag.endpoints
+        aux = values[frag.aux.start : frag.aux.stop]
+        local = (values[i], values[j], *aux)
+        total += sum(aux) - sum(local[s] * local[t] for s, t in local_edges)
     return total
 
 
@@ -143,9 +146,8 @@ def _restrict_assignment(
         values[new] = a.values[old]
     for frag in sub_g.fragments:
         i, j = frag.endpoints
-        original = g.fragments[h.edge_index[(old_of_new[i], old_of_new[j])]]
-        for new, old in zip(frag.vertex_indices[2:], original.vertex_indices[2:]):
-            values[new] = a.values[old]
+        aux, original = frag.aux, g.fragments[h.edge_index[(old_of_new[i], old_of_new[j])]].aux
+        values[aux.start : aux.stop] = a.values[original.start : original.stop]
     return Assignment(tuple(values))
 
 
@@ -300,7 +302,7 @@ def verify_realization(
     for frag in g.fragments:
         if frag.weight == 0:
             continue  # no auxiliary vertices: an empty sum deviates by 0
-        total = projector_sum(rays[t] for t in frag.vertex_indices[2:]).matrix
+        total = projector_sum(rays[t] for t in frag.aux).matrix
         d = float(np.max(np.abs(total - 2 * frag.weight * identity)))
         if d > worst:
             worst = d

@@ -30,10 +30,7 @@ from .expansion import (
     DEFAULT_BIT_LIMIT,
     Assignment,
     brute_force_max,
-    check_enumeration_capacity,
-    check_expansion_capacity,
     expand,
-    expanded_vertex_count,
     expand_hyper_edge,
     ks_propagate,
     mis_oracle,
@@ -47,7 +44,6 @@ from .hypergraph import (
     HyperEdge,
     HyperGraph,
     build_from_rays,
-    check_search_capacity,
     family_parameters,
     generate,
     random_hypergraph,
@@ -273,6 +269,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValidationError("--rays-out currently applies to the wheel7 demo family only")
         rays = wheel7_demo_rays(args.delta)
     h = generate(spec, rays=rays)
+    if rays is not None:
+        # before the graph, whose weights come from these rays
+        _write(args.rays_out, serialize_rays(rays))
     _write(args.output, serialize_hypergraph(h))
     items: list[tuple[str, object]] = [
         ("command", "gen"),
@@ -284,7 +283,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         ("output", args.output),
     ]
     if rays is not None:
-        _write(args.rays_out, serialize_rays(rays))
         items.append(("rays_output", args.rays_out))
         items.append(("delta", args.delta))
     _emit(items, args.json)
@@ -332,7 +330,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_brute(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     max_bits = args.max_bits if args.max_bits is not None else _default_max_bits()
-    check_enumeration_capacity(expanded_vertex_count(h), max_bits)
     g = expand(h)
     maximum = brute_force_max(g, max_bits=max_bits)
     _emit(
@@ -350,7 +347,6 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 def _cmd_mis(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
-    check_search_capacity(expanded_vertex_count(h), args.max_vertices)
     g = expand(h)
     value = mis_oracle(g, max_vertices=args.max_vertices)
     _emit(
@@ -368,7 +364,6 @@ def _cmd_mis(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
-    check_expansion_capacity(h.vertex_count, h.weight_sum)
     g = expand(h)
     items: list[tuple[str, object]] = [
         ("command", "expand"),
@@ -423,7 +418,6 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValidationError(f"the contradiction demo needs weight n >= 1, got {args.n}")
-    check_expansion_capacity(2, args.n)
     g = expand_hyper_edge(args.n)
     outcome = ks_propagate(g, {0: 1, 1: 1})
 
@@ -472,7 +466,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for _ in range(args.trials):
         k = rng.randint(3, 6)
         h = random_hypergraph(rng, k, max_weight=2)
-        a = Assignment(tuple(rng.randint(0, 1) for _ in range(expanded_vertex_count(h))))
+        a = Assignment(tuple(rng.randint(0, 1) for _ in range(expand(h).vertex_count)))
         result = check_subgraph_decomposition(h, a)
         if not result.equal:
             failures += 1
@@ -497,7 +491,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"{args.rays} holds {len(core_rays)} rays but the graph has {h.vertex_count} vertices"
         )
-    aux_count = expanded_vertex_count(h) - h.vertex_count
+    g = expand(h)
+    aux_count = g.vertex_count - h.vertex_count
     if aux_count and args.aux is None:
         raise ValidationError(
             f"the expansion has {aux_count} auxiliary vertices; supply their rays with --aux"
@@ -507,7 +502,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"expected {aux_count} auxiliary rays (construction order), got {len(aux_rays)}"
         )
-    report = verify_realization(expand(h), core_rays + aux_rays, args.tol)
+    report = verify_realization(g, core_rays + aux_rays, args.tol)
     items: list[tuple[str, object]] = [
         ("command", "verify"),
         ("input", args.graph),

@@ -41,8 +41,8 @@ CORE_MAX_WIDTH = 16
 # Most subproblems holding a factor that `mis_oracle` conditions a wide graph
 # into; each may take a second (complete k=21 w=1 needs all 16, in about 5 s).
 MAX_CONDITIONED_SUBPROBLEMS = 16
-# Most expanded vertices that `kshg expand` and `kshg demo` build: a weight-20000
-# edge (120,002 vertices) takes 0.4-0.5 s and 105 MB, so this is about 0.8 GB.
+# Most expanded vertices that `_fill` lays out: a weight-20000 edge (120,002
+# vertices) takes 0.4-0.5 s and 105 MB, so this is about 0.8 GB.
 EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
@@ -88,22 +88,27 @@ def vertex_label(v: ExpandedVertex) -> str:
 class Fragment:
     """Bookkeeping for one hyper-edge inside an expanded graph.
 
-    `vertex_indices` maps each local vertex of the weight's gadget layout
-    (see `_gadget`) to its graph vertex: the two endpoint cores, then the
-    auxiliary vertices in construction order, matching the vertex order of
-    the standalone graph built by `expand_hyper_edge` for the same weight.
+    The gadget's 6n auxiliary vertices (n the weight) are the contiguous
+    block `aux` of graph indices that starts at `first`. `vertex_indices`
+    maps each local vertex of the weight's gadget layout (see `_gadget`) to
+    its graph vertex: the two endpoint cores, then the auxiliary block in
+    construction order, matching the vertex order of the standalone graph
+    built by `expand_hyper_edge` for the same weight.
     """
 
     edge_id: int
     endpoints: tuple[int, int]
     weight: int
-    vertex_indices: tuple[int, ...]
+    first: int
 
-    def __post_init__(self) -> None:
-        if len(self.vertex_indices) != 2 + 6 * self.weight:
-            raise ValidationError(
-                f"fragment of weight {self.weight} must list {2 + 6 * self.weight} vertices"
-            )
+    @property
+    def aux(self) -> range:
+        """Graph indices of the auxiliary vertices: 6 per unit of weight."""
+        return range(self.first, self.first + 6 * self.weight)
+
+    @property
+    def vertex_indices(self) -> tuple[int, ...]:
+        return (*self.endpoints, *self.aux)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,11 +118,12 @@ class ExpandedGraph:
     The constructor (and so `dataclasses.replace`) checks the edges and
     bases. `expand` and `expand_hyper_edge` build through `_assemble`
     instead, which skips that check, records the core count and holds only
-    the fragments and the vertex count: `vertices`, `edges` and `bases`
-    are filled together, by `_fill` through `__getattr__`, the first time
-    any of them is read. `mis_oracle` and the decomposition check read only
-    the fragments and `vertex_count`, so they never fill a graph from
-    `expand`.
+    the fragments and the vertex count, in O(1) per edge at any weight:
+    `vertices`, `edges` and `bases` are filled together, by `_fill` through
+    `__getattr__`, the first time any of them is read, and a graph of more
+    than `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle` and
+    the decomposition check read only the fragments and `vertex_count`, so
+    they never fill a graph from `expand`.
     """
 
     vertices: tuple[ExpandedVertex, ...]
@@ -287,14 +293,14 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     """Place one gadget per (edge id, i, j, weight) on `vertex_count` shared cores.
 
     The placements join distinct core pairs i < j < `vertex_count`. Each
-    gadget's auxiliary vertices come after the previous ones, and its
-    `_gadget` layout is relabelled through the fragment's vertex order.
-    That order increases (i < j < every new vertex), so pairs stay sorted
-    and distinct and bases stay triangles: the graph is valid and its
-    fragments describe it, so it is built with its core count and unchecked.
-    Only the fragments and the vertex count are built here; `_fill` lays
-    out the vertices, edges and bases from them when one is first read,
-    through `ExpandedGraph.__getattr__`.
+    gadget's auxiliary block starts where the previous one ends, so the
+    fragment's vertex order increases (i < j < every new vertex), pairs
+    stay sorted and distinct and bases stay triangles: the graph is valid
+    and its fragments describe it, so it is built with its core count and
+    unchecked. Only the fragments and the vertex count are built here, in
+    O(1) per placement at any weight; `_fill` lays out the vertices, edges
+    and bases from them when one is first read, through
+    `ExpandedGraph.__getattr__`.
     """
     # The fragments and the graph are right by construction, so their fields
     # are written directly, as the frozen dataclasses' generated __init__
@@ -303,8 +309,7 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     n = vertex_count
     for edge_id, i, j, weight in placements:
         f = object.__new__(Fragment)
-        vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight,
-                       vertex_indices=(i, j, *range(n, n + 6 * weight)))
+        vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight, first=n)
         fragments.append(f)
         n += 6 * weight
     g = object.__new__(ExpandedGraph)
@@ -316,7 +321,11 @@ def _fill(g: ExpandedGraph) -> dict:
     """Write the vertices, edges and bases of a graph from `_assemble`: the
     cores, then each fragment's auxiliary vertices, edges and bases, its
     `_gadget` layout relabelled through the fragment's vertex order.
-    Returns the graph's instance dict."""
+    Returns the graph's instance dict. This is the only code that allocates
+    per expanded vertex, so it refuses a graph of more than
+    `EXPAND_MAX_VERTICES` vertices before it allocates any."""
+    if g.vertex_count > EXPAND_MAX_VERTICES:
+        raise CapacityError(f"{g.vertex_count} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
     vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(g._assembled_cores)]
     edges: list[tuple[int, int]] = []
     bases: list[tuple[int, int, int]] = []
@@ -452,19 +461,6 @@ def _block_max(n: int, adjacency: Sequence[int]) -> int:
         return float((rowmax[:rows] + objective(x_high, low, n)).max())
 
     return int(max(slab_max(start) for start in range(0, states, slab)))
-
-
-def expanded_vertex_count(h: HyperGraph) -> int:
-    """Vertex count of `expand(h)`, known before anything is allocated."""
-    return h.vertex_count + 6 * h.weight_sum
-
-
-def check_expansion_capacity(cores: int, weight_sum: int) -> None:
-    """Refuse to expand `cores` vertices and edges of total weight `weight_sum`
-    (`expanded_vertex_count` of that hyper-graph) past `EXPAND_MAX_VERTICES`."""
-    n = cores + 6 * weight_sum
-    if n > EXPAND_MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
 
 
 def check_enumeration_capacity(

@@ -97,7 +97,7 @@ def _fragment_core_count(g: ExpandedGraph) -> int | None:
 
     Exactly means: the first k vertices are `CoreVertex(0..k-1)`, each
     fragment joins two distinct cores (no pair twice) and owns the next
-    contiguous block of 6n vertices, every edge of its relabelled `_gadget`
+    contiguous block of 6n vertices (it starts at `first`), every edge of its relabelled `_gadget`
     layout is in `g.edges`, and those edges are all of `g.edges`.
     """
     k = len(g.vertices) - 6 * sum(f.weight for f in g.fragments)
@@ -110,7 +110,7 @@ def _fragment_core_count(g: ExpandedGraph) -> int | None:
     for f in g.fragments:
         i, j = f.endpoints
         order = (i, j, *range(start, start + 6 * f.weight))
-        if not 0 <= i < j < k or f.vertex_indices != order:
+        if not 0 <= i < j < k or f.first != start:
             return None
         relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
         start += 6 * f.weight
@@ -131,11 +131,12 @@ def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int,
     fragments: list[Fragment] = []
     for edge_id, i, j, weight in placements:
         labels, local_edges, local_bases = _gadget(weight)
-        order = (i, j, *range(len(vertices), len(vertices) + len(labels)))
+        first = len(vertices)
+        order = (i, j, *range(first, first + len(labels)))
         vertices += [AuxVertex(edge_id, kind, level) for kind, level in labels]
         edges += [(order[s], order[t]) for s, t in local_edges]
         bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
-        fragments.append(Fragment(edge_id, (i, j), weight, order))
+        fragments.append(Fragment(edge_id, (i, j), weight, first))
     return ExpandedGraph(tuple(vertices), frozenset(edges), tuple(bases), tuple(fragments))
 
 

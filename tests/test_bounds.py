@@ -43,7 +43,7 @@ from kshg import (
 
 from kshg import _indset
 from kshg.bounds import _restrict_assignment
-from kshg.expansion import CORE_MAX_WIDTH, expanded_vertex_count
+from kshg.expansion import CORE_MAX_WIDTH
 
 from _fixtures import _aux_index_restrict, clifton_realization, cone_rays
 
@@ -345,7 +345,7 @@ class TestSoundness:
     @settings(max_examples=100, deadline=None)
     @given(h=small_expansions())
     def test_four_oracles_agree(self, h):
-        assert expanded_vertex_count(h) <= 16
+        assert expand(h).vertex_count <= 16
         g = expand(h)
         formula = 2 * h.weight_sum + max_independent_set(h, method="brute").size
         assert classical_bound(h).total == formula == mis_oracle(g) == brute_force_max(g)
@@ -357,7 +357,7 @@ class TestSoundness:
     @settings(max_examples=30, deadline=None)
     @given(h=block_expansions())
     def test_oracles_agree_past_one_block(self, h):
-        assert 17 <= expanded_vertex_count(h) <= 24
+        assert 17 <= expand(h).vertex_count <= 24
         g = expand(h)
         assert brute_force_max(g) == mis_oracle(g) == classical_bound(h).total
 

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -373,72 +374,75 @@ class TestExitCodes:
         assert code == 2
         assert "mis_oracle" in err
 
+    @staticmethod
+    def _run_traced(capsys, *argv) -> tuple[int, str, str, int]:
+        """`run`, plus the peak of the memory that Python allocated meanwhile."""
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, peak
+
+    @pytest.mark.parametrize("weight", [10**6, 10**18])
     @pytest.mark.parametrize("command, limit", [
         ("brute", "the 30-bit enumeration limit; use mis_oracle instead"),
         ("mis", "the exact-search limit of 64"),
     ])
-    def test_capacity_checked_before_expansion(self, capsys, tmp_path, monkeypatch, command, limit):
+    def test_capacity_refused_before_allocation(self, capsys, tmp_path, command, limit, weight):
         graph = tmp_path / "heavy.hg"
-        graph.write_text("vertices 2\nedge 1 2 1000000\n")
-
-        def refuse(h):
-            raise AssertionError("expand ran before the capacity check")
-
-        monkeypatch.setattr("kshg.cli.expand", refuse)
-        code, out, err = run(capsys, command, str(graph))
+        graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
+        code, out, err, peak = self._run_traced(capsys, command, str(graph))
         assert (code, out) == (2, "")
-        assert err == f"capacity error: 6000002 vertices exceed {limit}\n"
+        assert err == f"capacity error: {2 + 6 * weight} vertices exceed {limit}\n"
+        assert peak < 1_000_000
 
+    @pytest.mark.parametrize("weight", [10**8, 10**18])
     @pytest.mark.parametrize("command", ["expand", "demo"])
-    def test_expansion_limit_checked_before_expansion(self, capsys, tmp_path, monkeypatch, command):
+    def test_expansion_limit_refused_before_allocation(self, capsys, tmp_path, command, weight):
         graph = tmp_path / "heavy.hg"
-        graph.write_text("vertices 2\nedge 1 2 100000000\n")
-
-        def refuse(*args):
-            raise AssertionError("expanded before the capacity check")
-
-        monkeypatch.setattr("kshg.cli.expand", refuse)
-        monkeypatch.setattr("kshg.cli.expand_hyper_edge", refuse)
-        argv = [command, str(graph)] if command == "expand" else [command, "clifton", "--n", "100000000"]
-        code, out, err = run(capsys, *argv)
+        graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
+        argv = [command, str(graph)] if command == "expand" else [command, "clifton", "--n", str(weight)]
+        code, out, err, peak = self._run_traced(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "capacity error: 600000002 vertices exceed the expansion limit of 1000000\n"
+        assert err == f"capacity error: {2 + 6 * weight} vertices exceed the expansion limit of 1000000\n"
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("weight, refused", [(166666, False), (166667, True)])
     def test_expansion_limit_boundary(self, capsys, tmp_path, monkeypatch, weight, refused):
-        # 2 + 6 * 166666 = 999,998 vertices fit; the stub stands in for the expansion
+        # 2 + 6 * 166666 = 999,998 vertices fit: the fill gets past its check
+        # to the cores, where the stub stops it
         class Reached(Exception):
             pass
 
         def reached(*args):
             raise Reached
 
-        monkeypatch.setattr("kshg.cli.expand", reached)
-        monkeypatch.setattr("kshg.cli.expand_hyper_edge", reached)
+        monkeypatch.setattr("kshg.expansion.CoreVertex", reached)
         graph = tmp_path / "edge.hg"
         graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
         for argv in (["expand", str(graph)], ["demo", "clifton", "--n", str(weight)]):
             if refused:
-                assert run(capsys, *argv)[0] == 2
+                assert run(capsys, *argv) == (
+                    2, "", "capacity error: 1000004 vertices exceed the expansion limit of 1000000\n")
             else:
                 with pytest.raises(Reached):
                     main(argv)
 
-    def test_verify_counts_rays_before_expansion(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("weight", [10**6, 10**18])
+    def test_verify_counts_rays_before_allocation(self, capsys, tmp_path, weight):
         graph = tmp_path / "heavy.hg"
-        graph.write_text("vertices 2\nedge 1 2 1000000\n")
+        graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
         core_file = tmp_path / "core.rays"
         core_file.write_text(serialize_rays(clifton_realization()[:2]))
-
-        def refuse(h):
-            raise AssertionError("expand ran before the ray counts were checked")
-
-        monkeypatch.setattr("kshg.cli.expand", refuse)
-        code, out, err = run(capsys, "verify", str(graph), "--rays", str(core_file))
+        code, out, err, peak = self._run_traced(capsys, "verify", str(graph), "--rays", str(core_file))
         assert (code, out) == (1, "")
         assert err == (
-            "error: the expansion has 6000000 auxiliary vertices; supply their rays with --aux\n"
+            f"error: the expansion has {6 * weight} auxiliary vertices; supply their rays with --aux\n"
         )
+        assert peak < 1_000_000
 
     def test_bound_on_long_path(self, capsys, tmp_path):
         graph = tmp_path / "path.hg"
@@ -562,6 +566,13 @@ class TestExitCodes:
         )
         assert code == 1
         assert "wheel7" in err
+
+    def test_unwritable_rays_out_leaves_no_graph(self, capsys, tmp_path):
+        graph, rays = tmp_path / "g.hg", tmp_path / "missing" / "r.rays"
+        code, out, err = run(capsys, "gen", "wheel7", "--rays-out", str(rays), "-o", str(graph))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {rays}: ")
+        assert not graph.exists()
 
     def test_demo_needs_positive_weight(self, capsys):
         code, _, err = run(capsys, "demo", "clifton", "--n", "0")

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import product
 from unittest import mock
@@ -42,6 +43,7 @@ from kshg import (
     mis_oracle,
     random_hypergraph,
     to_dot,
+    verify_realization,
     vertex_label,
 )
 from kshg import _indset, bounds, expansion
@@ -142,7 +144,7 @@ class TestGadgetStructure:
         cases = []
         for _ in range(8):
             h = random_hypergraph(rng, rng.randint(3, 6), max_weight=3)
-            values = tuple(rng.randint(0, 1) for _ in range(expansion.expanded_vertex_count(h)))
+            values = tuple(rng.randint(0, 1) for _ in range(expand(h).vertex_count))
             cases.append((h, Assignment(values)))
 
         def results():
@@ -661,7 +663,7 @@ class TestMisOracle:
         bare = ExpandedGraph(path.vertices, path.edges, path.bases)
         # two fragments on one pair: as many edges as listed, but (2, 3) is no fragment's
         doubled = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(0, 1), (2, 3)}), (),
-                                (expansion.Fragment(0, (0, 1), 0, (0, 1)),) * 2)
+                                (expansion.Fragment(0, (0, 1), 0, 4),) * 2)
         hand_built = [(dropped, 8), (swapped, 8), (extra, 5), (bare, 6), (doubled, 2)]
         assert [_fragment_core_count(g) for g in (triangle, path)] == [3, 3]
         for g, expected in hand_built:
@@ -974,6 +976,64 @@ class TestLazyGraph:
         assert not _unfilled(g) and copied._assembled_cores is None
         assert (copied.vertices, copied.edges, copied.bases, copied.fragments) == (
             g.vertices, g.edges, g.bases, g.fragments)
+
+
+class TestHeavyEdges:
+    """The size of an expansion is known from its fragments: `expand` costs
+    O(1) per edge at any weight, and past `EXPAND_MAX_VERTICES` the vertex
+    list is refused wherever it would be built, before it is allocated."""
+
+    WEIGHT = 10**18
+    LIMIT = rf"^{2 + 6 * WEIGHT} vertices exceed the expansion limit of 1000000$"
+
+    def test_expanding_costs_nothing_per_unit_of_weight(self):
+        h = HyperGraph(3, (HyperEdge(0, 1, self.WEIGHT), HyperEdge(1, 2, 1)))
+        builds = [(lambda: expand_hyper_edge(self.WEIGHT), 2, 2 + 6 * self.WEIGHT),
+                  (lambda: expand(h), 3, 3 + 6 * self.WEIGHT + 6)]
+        for make, cores, size in builds:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                make()
+                times.append(time.perf_counter() - start)
+            tracemalloc.start()
+            try:
+                g = make()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert min(times) < 1e-3
+            assert peak < 64_000
+            assert g.vertex_count == size
+            assert g.fragments[0].aux == range(cores, cores + 6 * self.WEIGHT)
+
+    @pytest.mark.parametrize("name", ["vertices", "edges", "bases"])
+    def test_filled_fields_are_refused(self, name):
+        g = expand_hyper_edge(self.WEIGHT)
+        with pytest.raises(CapacityError, match=self.LIMIT):
+            getattr(g, name)
+        assert _unfilled(g)
+
+    def test_readers_refuse_with_their_own_messages(self):
+        g = expand_hyper_edge(self.WEIGHT)
+        n = 2 + 6 * self.WEIGHT
+        with pytest.raises(CapacityError, match=rf"^{n} vertices exceed the 30-bit enumeration limit; use mis_oracle instead$"):
+            brute_force_max(g)
+        with pytest.raises(CapacityError, match=rf"^{n} vertices exceed the exact-search limit of 64$"):
+            mis_oracle(g)
+        with pytest.raises(CapacityError, match=rf"^{n} vertices exceed the 30-bit enumeration limit$"):
+            max_edge_observable(g)
+        for read in (to_dot, lambda g: ks_propagate(g, {0: 1, 1: 1}), lambda g: verify_realization(g, [], 1e-9)):
+            with pytest.raises(CapacityError, match=self.LIMIT):
+                read(g)
+        assert _unfilled(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs())
+    def test_vertex_indices_are_the_cores_then_the_aux_block(self, h):
+        for f, e in zip(expand(h).fragments, h.edges):
+            assert f.endpoints == (e.i, e.j) and f.weight == e.weight
+            assert f.vertex_indices == (e.i, e.j, *range(f.first, f.first + 6 * e.weight))
 
 
 class TestFillHook:
