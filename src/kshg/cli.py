@@ -30,6 +30,7 @@ from .expansion import (
     DEFAULT_BIT_LIMIT,
     Assignment,
     brute_force_max,
+    check_expansion_limit,
     expand,
     expand_hyper_edge,
     ks_propagate,
@@ -44,6 +45,7 @@ from .hypergraph import (
     HyperEdge,
     HyperGraph,
     build_from_rays,
+    check_search_capacity,
     family_parameters,
     generate,
     random_hypergraph,
@@ -348,6 +350,11 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 def _cmd_mis(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     g = expand(h)
+    # Both refusals come before `mis_oracle` builds any gadget table: the
+    # exact-search limit, then the expansion limit of the fill that the
+    # report's counts take after the solve.
+    check_search_capacity(g.vertex_count, args.max_vertices)
+    check_expansion_limit(g)
     value = mis_oracle(g, max_vertices=args.max_vertices)
     _emit(
         [

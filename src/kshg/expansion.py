@@ -15,6 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
 
 from . import _indset
@@ -35,17 +36,21 @@ ENUM_MAX_BITS = 62
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
-# Widest graph that `_elimination_order` plans for `_max_sum`: its largest factor
-# table holds 2^(width + 1) entries. `_conditioned` splits wider graphs down to it.
+# Widest graph that `_elimination_order` plans for `_max_sum`: its widest bucket
+# is two half-tables of 2^width entries. `_conditioned` splits wider graphs down to it.
 CORE_MAX_WIDTH = 16
 # Most subproblems holding a factor that `mis_oracle` conditions a wide graph
-# into; each may take a second (complete k=21 w=1 needs all 16, in about 5 s).
+# into. At width 16 each takes up to about 0.1 s: complete k=21 w=1 needs all
+# 16, in about 0.3 s, and torus 8x8 w=1 two, in about 0.15 s (2-core Xeon).
 MAX_CONDITIONED_SUBPROBLEMS = 16
 # Most expanded vertices that `_fill` lays out: a weight-20000 edge (120,002
 # vertices) takes 0.4-0.5 s and 105 MB, so this is about 0.8 GB.
 EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
+# An elimination plan: each variable in order, with the positions of its later
+# neighbours when it is eliminated (see `_elimination_order`).
+_Plan = list[tuple[int, tuple[int, ...]]]
 
 AUX_KINDS = ("p", "q", "a+", "a-", "b+", "b-")
 
@@ -317,6 +322,14 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     return g
 
 
+def check_expansion_limit(g: ExpandedGraph) -> None:
+    """Refuse a graph of more than `EXPAND_MAX_VERTICES` vertices, as `_fill`
+    does before it allocates: a caller that fills a graph only after other
+    work checks first."""
+    if g.vertex_count > EXPAND_MAX_VERTICES:
+        raise CapacityError(f"{g.vertex_count} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
+
+
 def _fill(g: ExpandedGraph) -> dict:
     """Write the vertices, edges and bases of a graph from `_assemble`: the
     cores, then each fragment's auxiliary vertices, edges and bases, its
@@ -324,8 +337,7 @@ def _fill(g: ExpandedGraph) -> dict:
     Returns the graph's instance dict. This is the only code that allocates
     per expanded vertex, so it refuses a graph of more than
     `EXPAND_MAX_VERTICES` vertices before it allocates any."""
-    if g.vertex_count > EXPAND_MAX_VERTICES:
-        raise CapacityError(f"{g.vertex_count} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
+    check_expansion_limit(g)
     vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(g._assembled_cores)]
     edges: list[tuple[int, int]] = []
     bases: list[tuple[int, int, int]] = []
@@ -511,83 +523,158 @@ def _gadget_table(weight: int) -> tuple[float, ...]:
     Each entry is a `_max_sum` over the layout of `_gadget` with the cores
     `_fix`ed at (a, b): each auxiliary vertex gains 1 and each layout edge
     forbids both its ends at 1, so a core at 1 leaves its layout neighbours
-    a `_FORBIDDEN` gain. The four problems share one elimination order. An
+    a `_FORBIDDEN` gain. The four problems share one elimination plan. An
     infeasible pair (weight 0: both cores at 1) is `_FORBIDDEN`.
     """
     labels, edges, _ = _gadget(weight)
     blocked = [0, 0, 0, _FORBIDDEN]
     gain, factors = [0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges]
-    order = _elimination_order(len(gain), edges)  # a chain of levels: width 3
+    plan = _elimination_order(len(gain), edges)  # a chain of levels: width 3
     problems = [_fix(gain, factors, 0, {0: a, 1: b}) for b in (0, 1) for a in (0, 1)]
-    return tuple(const + _max_sum(fixed, rest, order) for fixed, rest, const in problems)
+    return tuple(const + _max_sum(fixed, rest, plan) for fixed, rest, const in problems)
 
 
-def _elimination_order(n: int, pairs: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Min-degree elimination order of the graph on n vertices, or None when
+def _elimination_order(n: int, pairs: Iterable[tuple[int, int]]) -> _Plan | None:
+    """Min-degree elimination plan of the graph on n vertices, or None when
     eliminating would leave a vertex with more than `CORE_MAX_WIDTH`
-    neighbors."""
+    neighbors.
+
+    The plan lists (v, scope) in elimination order: scope holds the
+    positions in that order of v's neighbors when v is eliminated (its
+    original neighbors and those its eliminated neighbors left it), all
+    later than v, ascending. That is the scope of v's bucket in `_max_sum`
+    without v. Ties in degree go to the lowest vertex.
+    """
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for i, j in pairs:
         nbrs[i].add(j)
         nbrs[j].add(i)
     heap = [(len(s), v) for v, s in enumerate(nbrs)]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     eliminated = [False] * n
     order = []
     while heap:
-        degree, v = heapq.heappop(heap)
+        degree, v = pop(heap)
         if eliminated[v] or degree != len(nbrs[v]):
             continue  # superseded entry
         if degree > CORE_MAX_WIDTH:
             return None
         eliminated[v] = True
         order.append(v)
-        for u in nbrs[v]:
-            nbrs[u] |= nbrs[v]
-            nbrs[u] -= {u, v}
-            heapq.heappush(heap, (len(nbrs[u]), u))
-    return order
-
-
-def _join(scope: tuple[int, ...], combined: list, bucket: list) -> list:
-    """`combined`, a table over `scope`, plus every (scope, table) factor of `bucket`."""
-    for s, table in bucket:
-        index = [0]
-        for u in scope:
-            step = 1 << s.index(u) if u in s else 0
-            index += [x + step for x in index]
-        combined = [c + table[x] for c, x in zip(combined, index)]
-    return combined
-
-
-def _max_sum(
-    gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]], order: Sequence[int]
-) -> float:
-    """Max of sum_v gain[v] x_v plus the pair factors over 0/1 states x.
-
-    Max-sum variable elimination in `order`, which lists every variable
-    (any such order is exact): each factor is (scope, table), its table
-    indexed by the bitmask of its scope's states, and sits in the bucket of
-    its scope's earliest variable in the order. Eliminating v sums its
-    bucket and its own gain over v and the rest of the scope, then
-    maximises v out. A gain or table entry may be `_FORBIDDEN` (-inf): sums
-    of finite values and -inf never form a NaN, so every max stays exact.
-    """
-    n = len(gain)
+        later = nbrs[v]  # no longer changes: v leaves every other set here
+        for u in later:
+            s = nbrs[u]
+            before = len(s)
+            s |= later
+            s.remove(u)
+            s.remove(v)
+            if len(s) != before:  # else the heap already holds (before, u)
+                push(heap, (len(s), u))
     position = [0] * n
     for pos, v in enumerate(order):
         position[v] = pos
-    buckets: list[list[tuple[tuple[int, ...], Sequence]]] = [[] for _ in range(n)]
-    for scope, table in factors:
-        buckets[min(scope, key=position.__getitem__)].append((scope, table))
+    return [(v, tuple(sorted(map(position.__getitem__, nbrs[v])))) for v in order]
+
+
+# Index patterns kept for reuse: torus 8x8 uses 41, holding 8 MB. A pattern
+# depends only on its width and places, and holds 2^width ints, at most 2^16
+# and 2.6 MB.
+@lru_cache(maxsize=64)
+def _spread(width: int, places: tuple[int, ...]) -> list[int]:
+    """For each x below 2^width, the number whose bit t is bit places[t] of x:
+    where an entry of a table over `width` variables finds its entry in a
+    table over the variables at those places (ascending). The list is
+    shared between calls, so callers only read it."""
+    index = [0]
+    for k in range(width):
+        if k in places:
+            step = 1 << places.index(k)
+            index += [i + step for i in index]
+        else:
+            index *= 2
+    return index
+
+
+def _max_sum(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]], plan: _Plan) -> float:
+    """Max of sum_v gain[v] x_v plus the pair factors over 0/1 states x.
+
+    Max-sum variable elimination (bucket elimination) by `plan`, which lists
+    every variable with its scope when eliminated (see `_elimination_order`;
+    any order is exact with its scopes). Each factor is (scope, table), its
+    table indexed x_i + 2 x_j. Variables are named by their positions in
+    the plan, and every table lists its variables in that order, so the
+    eliminated variable is bit 0 of its bucket's table.
+
+    Bucket v is two half-tables over the rest of its scope, one for x_v = 0
+    and one for x_v = 1. Its pair terms are the pair factors whose earlier
+    variable is v, in either orientation, and the messages over two
+    variables; those on the same variable merge. One doubling pass over the
+    rest's bits builds both halves from v's gain, the messages over v alone
+    and the pair terms. Each wider message then joins in one pass per half,
+    through a cached `_spread` index unless its scope is the bucket's.
+    Maximising over the two halves eliminates v and gives the message over
+    the rest, which goes to the bucket of the rest's first variable. A gain
+    or table entry may be `_FORBIDDEN` (-inf): entries are only ever added,
+    never subtracted, so no NaN forms and every max stays exact.
+    """
+    n = len(gain)
+    position = [0] * n
+    for pos, (v, _) in enumerate(plan):
+        position[v] = pos
+    # Pair terms of each bucket, as (u, table) with the table indexed x_v + 2 x_u.
+    terms: list[list[tuple[int, Sequence]]] = [[] for _ in range(n)]
+    for (i, j), t in factors:
+        a, b = position[i], position[j]
+        if a < b:
+            terms[a].append((b, t))
+        else:
+            terms[b].append((a, (t[0], t[2], t[1], t[3])))
+    low_start = [0] * n
+    high_start = [gain[v] for v, _ in plan]
+    messages: dict[int, list[tuple[tuple[int, ...], list]]] = {}
     total = 0
-    for v in order:
-        scope = (v, *{u for s, _ in buckets[v] for u in s if u != v})
-        combined = _join(scope, [0, gain[v]] * (1 << (len(scope) - 1)), buckets[v])
-        rest = scope[1:]
-        table = [max(a, b) for a, b in zip(combined[0::2], combined[1::2])]
-        if rest:
-            buckets[min(rest, key=position.__getitem__)].append((rest, table))
+    for pos, (v, rest) in enumerate(plan):
+        # A pair term on u adds t[0] or t[2], as x_u is 0 or 1, to the half
+        # x_v = 0, and t[1] or t[3] to the half x_v = 1. Equal entries add to
+        # the whole half, so they go into its start value instead.
+        low_bits, high_bits = [None] * len(rest), [None] * len(rest)
+        low0, high0 = low_start[pos], high_start[pos]
+        for u, t in terms[pos]:
+            k = rest.index(u)
+            held = low_bits[k]
+            if t[0] == t[2]:
+                low0 += t[0]
+            else:
+                low_bits[k] = (t[0], t[2]) if held is None else (held[0] + t[0], held[1] + t[2])
+            held = high_bits[k]
+            if t[1] == t[3]:
+                high0 += t[1]
+            else:
+                high_bits[k] = (t[1], t[3]) if held is None else (held[0] + t[1], held[1] + t[3])
+        low, high = [low0], [high0]
+        for entries in low_bits:
+            low = low * 2 if entries is None else [x + y for y in entries for x in low]
+        for entries in high_bits:
+            high = high * 2 if entries is None else [x + y for y in entries for x in high]
+        for scope, table in messages.pop(pos, ()):  # scope[0] is pos, bit 0 of table
+            even, odd = table[0::2], table[1::2]
+            if len(scope) > len(rest):  # the bucket's own scope
+                low = list(map(add, low, even))
+                high = list(map(add, high, odd))
+            else:
+                index = _spread(len(rest), tuple(map(rest.index, scope[1:])))
+                low = [x + even[i] for x, i in zip(low, index)]
+                high = [x + odd[i] for x, i in zip(high, index)]
+        # max(x, y), as a comprehension: `map(max, ...)` takes 2-5x as long (Python 3.11)
+        table = [x if x > y else y for x, y in zip(low, high)]
+        if len(rest) > 2:
+            messages.setdefault(rest[0], []).append((rest, table))
+        elif len(rest) == 2:
+            terms[rest[0]].append((rest[1], table))
+        elif rest:
+            low_start[rest[0]] += table[0]
+            high_start[rest[0]] += table[1]
         else:
             total += table[0]
     return total
@@ -627,10 +714,10 @@ def _fix(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]
 
 def _conditioned(
     gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]]
-) -> list[tuple[list[int], list[tuple[tuple[int, int], Sequence]], int, list[int]]]:
-    """(gain, factors, const, order) parts, each with the elimination order
+) -> list[tuple[list[int], list[tuple[tuple[int, int], Sequence]], int, _Plan]]:
+    """(gain, factors, const, plan) parts, each with the elimination plan
     that keeps it within `CORE_MAX_WIDTH`; the problem's best is the max over
-    them of const plus `_max_sum(gain, factors, order)`. A problem that fits
+    them of const plus `_max_sum(gain, factors, plan)`. A problem that fits
     is its own single part.
 
     Cutset conditioning: a problem too wide to eliminate splits on its
@@ -646,9 +733,9 @@ def _conditioned(
     held = 1  # problems with a factor, pending or planned
     while stack:
         gain, factors, _ = problem = stack.pop()
-        order = _elimination_order(len(gain), (s for s, _ in factors))
-        if order is not None:
-            parts.append((*problem, order))
+        plan = _elimination_order(len(gain), (s for s, _ in factors))
+        if plan is not None:
+            parts.append((*problem, plan))
             continue
         count = [0] * len(gain)
         for scope, _ in factors:
@@ -691,8 +778,8 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
         gain, factors = [1] * g.vertex_count, [(pair, _gadget_table(0)) for pair in g.sorted_edges]
     else:
         gain, factors = [1] * k, [(f.endpoints, _gadget_table(f.weight)) for f in g.fragments]
-    return max(const + _max_sum(part_gain, part_factors, order)
-               for part_gain, part_factors, const, order in _conditioned(gain, factors))
+    return max(const + _max_sum(part_gain, part_factors, plan)
+               for part_gain, part_factors, const, plan in _conditioned(gain, factors))
 
 
 @dataclass(frozen=True)

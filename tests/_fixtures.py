@@ -1,5 +1,6 @@
 """Hand-checked coordinate fixtures and reference oracles shared across test modules."""
 
+import heapq
 import math
 from itertools import product
 from typing import Sequence
@@ -89,6 +90,56 @@ def _max_sum_reference(gain: Sequence[int], factors: Sequence[tuple[tuple[int, i
         key = sum(x[v] << v for v in range(kept))
         table[key] = max(table[key], value)
     return table
+
+
+def _min_degree_order(n: int, pairs: Sequence[tuple[int, int]], max_width: int) -> list[int] | None:
+    """Reference for the order of `expansion._elimination_order`: the
+    set-based min-degree routine it replaced. Each step takes the vertex of
+    least degree, the lowest on ties, joins its neighbours and removes it;
+    None when that degree exceeds `max_width`.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    heap = [(len(s), v) for v, s in enumerate(nbrs)]
+    heapq.heapify(heap)
+    eliminated = [False] * n
+    order = []
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if eliminated[v] or degree != len(nbrs[v]):
+            continue  # superseded entry
+        if degree > max_width:
+            return None
+        eliminated[v] = True
+        order.append(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            heapq.heappush(heap, (len(nbrs[u]), u))
+    return order
+
+
+def _plan_in_order(n: int, pairs: Sequence[tuple[int, int]],
+                   order: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """An elimination plan for `expansion._max_sum` in any `order` of the n
+    variables: each variable with the positions of its neighbours when it
+    is eliminated, ascending, as `expansion._elimination_order` plans in
+    its own order."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for i, j in pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    position = {v: pos for pos, v in enumerate(order)}
+    plan = []
+    for v in order:
+        later = nbrs[v]
+        for u in later:
+            nbrs[u] |= later
+            nbrs[u] -= {u, v}
+        plan.append((v, tuple(sorted(position[u] for u in later))))
+    return plan
 
 
 def _fragment_core_count(g: ExpandedGraph) -> int | None:

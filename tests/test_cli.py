@@ -400,11 +400,16 @@ class TestExitCodes:
         assert peak < 1_000_000
 
     @pytest.mark.parametrize("weight", [10**8, 10**18])
-    @pytest.mark.parametrize("command", ["expand", "demo"])
+    @pytest.mark.parametrize("command", ["expand", "demo", "mis"])
     def test_expansion_limit_refused_before_allocation(self, capsys, tmp_path, command, weight):
         graph = tmp_path / "heavy.hg"
         graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
-        argv = [command, str(graph)] if command == "expand" else [command, "clifton", "--n", str(weight)]
+        argv = {
+            "expand": ["expand", str(graph)],
+            "demo": ["demo", "clifton", "--n", str(weight)],
+            # an exact-search limit above the expansion size: the expansion limit refuses
+            "mis": ["mis", str(graph), "--max-vertices", str(10**19)],
+        }[command]
         code, out, err, peak = self._run_traced(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"capacity error: {2 + 6 * weight} vertices exceed the expansion limit of 1000000\n"

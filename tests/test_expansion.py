@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _fixtures import _eager_assemble, _fragment_core_count, _gray_walk_max, _max_sum_reference
+from _fixtures import (_eager_assemble, _fragment_core_count, _gray_walk_max, _max_sum_reference,
+                       _min_degree_order, _plan_in_order)
 
 from kshg import (
     Assignment,
@@ -487,7 +488,12 @@ def max_sum_problems(draw):
     gain = draw(st.lists(st.integers(-1, 2) | st.just(expansion._FORBIDDEN), min_size=n, max_size=n))
     factors = []
     if n >= 2:
-        scope = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+        # scopes from a small pool, each in either orientation, so that pairs
+        # repeat often and `_max_sum` merges them
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
+        pool = draw(st.lists(pair, min_size=1, max_size=n))
+        scope = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda s: s[0][::-1] if s[1] else s[0])
+        # any entry may be `_FORBIDDEN`, (0, 0) and (1, 0) included
         table = st.lists(st.integers(-2, 2) | st.just(expansion._FORBIDDEN), min_size=4, max_size=4)
         factors = draw(st.lists(st.tuples(scope, table), max_size=2 * n))
     return gain, factors
@@ -507,20 +513,79 @@ def conditioned_problems(draw):
     return gain, factors
 
 
+@st.composite
+def plain_graphs(draw):
+    """0-24 vertices, each pair joined with one drawn probability."""
+    n = draw(st.integers(0, 24))
+    p = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 class TestMaxSum:
     @settings(max_examples=200, deadline=None)
     @given(problem=max_sum_problems())
     def test_matches_enumeration(self, problem):
         gain, factors = problem
-        order = expansion._elimination_order(len(gain), (s for s, _ in factors))
-        assert expansion._max_sum(gain, factors, order) == _max_sum_reference(gain, factors)[0]
+        plan = expansion._elimination_order(len(gain), (s for s, _ in factors))
+        assert expansion._max_sum(gain, factors, plan) == _max_sum_reference(gain, factors)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(problem=max_sum_problems(), data=st.data())
     def test_exact_under_any_order(self, problem, data):
         gain, factors = problem
         order = data.draw(st.permutations(range(len(gain))))
-        assert expansion._max_sum(gain, factors, order) == _max_sum_reference(gain, factors)[0]
+        plan = _plan_in_order(len(gain), [s for s, _ in factors], order)
+        assert expansion._max_sum(gain, factors, plan) == _max_sum_reference(gain, factors)[0]
+
+    def test_message_joins_through_an_index(self):
+        # In order 0..6, buckets 0 and 1 send messages over (3, 4, 6) and
+        # (3, 5, 6) to bucket 3, whose scope is (3, 4, 5, 6): neither message
+        # has the bucket's scope, so each joins through a `_spread` index
+        # that is not the identity. Bucket 2 sends a message over 5 alone.
+        # Two factors are listed with their later variable first.
+        gain = [0, 1, -1, 2, 3, -2, 1]
+        factors = [((0, 3), [0, 1, 0, 5]), ((6, 0), [0, 0, 2, -9]), ((0, 4), [1, -3, 0, 2]),
+                   ((1, 3), [1, 0, 0, 3]), ((5, 1), [0, -2, 0, 4]), ((1, 6), [2, 0, -1, -4]),
+                   ((2, 5), [0, 3, 1, -5])]
+        plan = _plan_in_order(7, [s for s, _ in factors], range(7))
+        assert plan[:4] == [(0, (3, 4, 6)), (1, (3, 5, 6)), (2, (5,)), (3, (4, 5, 6))]
+        assert expansion._spread(3, (0, 2)) == [0, 1, 0, 1, 2, 3, 2, 3]
+        assert expansion._spread(3, (1, 2)) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert expansion._max_sum(gain, factors, plan) == _max_sum_reference(gain, factors)[0] == 21
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=plain_graphs(), width=st.sampled_from([2, 4, 16, 24]))
+    def test_plan_keeps_the_min_degree_order(self, graph, width):
+        n, pairs = graph
+        with mock.patch.object(expansion, "CORE_MAX_WIDTH", width):
+            plan = expansion._elimination_order(n, pairs)
+        order = _min_degree_order(n, pairs, width)
+        if order is None:
+            assert plan is None
+        else:
+            assert plan == _plan_in_order(n, pairs, order)
+
+    @pytest.mark.parametrize("spec, fits", [
+        (FamilySpec("torus-lattice", mx=4, my=4, weights=1), True),
+        (FamilySpec("square-lattice", mx=5, my=5, weights=1), True),
+        (FamilySpec("torus-lattice", mx=3, my=4, weights=2), True),
+        (FamilySpec("torus-lattice", mx=8, my=8), False),
+        (FamilySpec("torus-lattice", mx=10, my=10), False),
+        (FamilySpec("complete", k=18, weights=1), False),
+        (FamilySpec("complete", k=25, weights=1), False),
+    ])
+    def test_plan_keeps_the_min_degree_order_on_families(self, spec, fits):
+        # at the real width, and at a width that plans every graph here
+        h = generate(spec)
+        pairs = [(e.i, e.j) for e in h.edges]
+        for width, planned in ((expansion.CORE_MAX_WIDTH, fits), (100, True)):
+            with mock.patch.object(expansion, "CORE_MAX_WIDTH", width):
+                plan = expansion._elimination_order(h.vertex_count, pairs)
+            order = _min_degree_order(h.vertex_count, pairs, width)
+            assert (plan is not None) == (order is not None) == planned
+            if planned:
+                assert plan == _plan_in_order(h.vertex_count, pairs, order)
 
     def test_complete_graph_is_too_wide(self):
         assert expansion._elimination_order(18, [(i, j) for i in range(18) for j in range(i + 1, 18)]) is None
@@ -708,8 +773,8 @@ class TestConditioning:
         # 2^8 bounds the subproblems of 8 variables, so this split never refuses
         with mock.patch.multiple(expansion, CORE_MAX_WIDTH=width, MAX_CONDITIONED_SUBPROBLEMS=1 << 8):
             parts = expansion._conditioned(gain, factors)
-            best = max(const + expansion._max_sum(g, f, order) for g, f, const, order in parts)
-            assert all(order == expansion._elimination_order(len(g), (s for s, _ in f)) for g, f, _, order in parts)
+            best = max(const + expansion._max_sum(g, f, plan) for g, f, const, plan in parts)
+            assert all(plan == expansion._elimination_order(len(g), (s for s, _ in f)) for g, f, _, plan in parts)
         assert best == _max_sum_reference(gain, factors, 0)[0]
         assert all(x != expansion._FORBIDDEN for g, _, _, _ in parts for x in g)
         # the early refusal fires exactly when more than `limit` parts hold a factor
