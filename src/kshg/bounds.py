@@ -96,7 +96,7 @@ def hypergraph_observable_value(h: HyperGraph, g: ExpandedGraph, a: Assignment) 
     total = sum(values[: h.vertex_count])
     for frag in g.fragments:
         # Edge observable: auxiliary values minus the gadget's edge products.
-        _, local_edges, _ = _gadget(frag.weight)
+        local_edges, _ = _gadget(frag.weight)
         i, j = frag.endpoints
         aux = values[frag.aux.start : frag.aux.stop]
         local = (values[i], values[j], *aux)

@@ -338,8 +338,8 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         [
             ("command", "brute"),
             ("input", args.graph),
-            ("expanded_vertices", len(g.vertices)),
-            ("expanded_edges", len(g.edges)),
+            ("expanded_vertices", g.vertex_count),
+            ("expanded_edges", g.edge_count),
             ("brute_force_max", maximum),
         ],
         args.json,
@@ -351,8 +351,8 @@ def _cmd_mis(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     g = expand(h)
     # Both refusals come before `mis_oracle` builds any gadget table: the
-    # exact-search limit, then the expansion limit of the fill that the
-    # report's counts take after the solve.
+    # exact-search limit, then the expansion limit that `kshg expand` keeps
+    # too, though the report's counts come from the fragments.
     check_search_capacity(g.vertex_count, args.max_vertices)
     check_expansion_limit(g)
     value = mis_oracle(g, max_vertices=args.max_vertices)
@@ -360,8 +360,8 @@ def _cmd_mis(args: argparse.Namespace) -> int:
         [
             ("command", "mis"),
             ("input", args.graph),
-            ("expanded_vertices", len(g.vertices)),
-            ("expanded_edges", len(g.edges)),
+            ("expanded_vertices", g.vertex_count),
+            ("expanded_edges", g.edge_count),
             ("mis_oracle", value),
         ],
         args.json,
@@ -372,13 +372,14 @@ def _cmd_mis(args: argparse.Namespace) -> int:
 def _cmd_expand(args: argparse.Namespace) -> int:
     h = _load_graph(args.graph)
     g = expand(h)
+    check_expansion_limit(g)  # refuse as the fill would, with or without `--dot`
     items: list[tuple[str, object]] = [
         ("command", "expand"),
         ("input", args.graph),
         ("vertices", h.vertex_count),
-        ("expanded_vertices", len(g.vertices)),
-        ("expanded_edges", len(g.edges)),
-        ("bases", len(g.bases)),
+        ("expanded_vertices", g.vertex_count),
+        ("expanded_edges", g.edge_count),
+        ("bases", g.basis_count),
     ]
     if args.dot is not None:
         _write(args.dot, to_dot(g))
@@ -455,7 +456,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         verdict = "CONTRADICTION"
     else:
         verdict = "CONSISTENT"
-    items = [("command", "demo"), ("model", "clifton"), ("weight", args.n), ("vertices", len(g.vertices))]
+    items = [("command", "demo"), ("model", "clifton"), ("weight", args.n), ("vertices", g.vertex_count)]
     if args.json:
         _emit(items + [("steps", lines), ("result", verdict.lower())], True)
     else:

@@ -43,8 +43,9 @@ CORE_MAX_WIDTH = 16
 # into. At width 16 each takes up to about 0.1 s: complete k=21 w=1 needs all
 # 16, in about 0.3 s, and torus 8x8 w=1 two, in about 0.15 s (2-core Xeon).
 MAX_CONDITIONED_SUBPROBLEMS = 16
-# Most expanded vertices that `_fill` lays out: a weight-20000 edge (120,002
-# vertices) takes 0.4-0.5 s and 105 MB, so this is about 0.8 GB.
+# Most expanded vertices that `_fill` lays out: one weight-166,666 edge (999,998
+# vertices) fills in about 1.5 s with a 350 MB tracemalloc peak, and `kshg demo`
+# on it takes about 11 s and 760 MB max RSS (2-core Xeon, Python 3.11).
 EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
@@ -94,11 +95,9 @@ class Fragment:
     """Bookkeeping for one hyper-edge inside an expanded graph.
 
     The gadget's 6n auxiliary vertices (n the weight) are the contiguous
-    block `aux` of graph indices that starts at `first`. `vertex_indices`
-    maps each local vertex of the weight's gadget layout (see `_gadget`) to
-    its graph vertex: the two endpoint cores, then the auxiliary block in
-    construction order, matching the vertex order of the standalone graph
-    built by `expand_hyper_edge` for the same weight.
+    block `aux` of graph indices that starts at `first`, in construction
+    order (see `_place`), as in the standalone graph built by
+    `expand_hyper_edge` for the same weight.
     """
 
     edge_id: int
@@ -111,10 +110,6 @@ class Fragment:
         """Graph indices of the auxiliary vertices: 6 per unit of weight."""
         return range(self.first, self.first + 6 * self.weight)
 
-    @property
-    def vertex_indices(self) -> tuple[int, ...]:
-        return (*self.endpoints, *self.aux)
-
 
 @dataclass(frozen=True, eq=False)
 class ExpandedGraph:
@@ -123,12 +118,14 @@ class ExpandedGraph:
     The constructor (and so `dataclasses.replace`) checks the edges and
     bases. `expand` and `expand_hyper_edge` build through `_assemble`
     instead, which skips that check, records the core count and holds only
-    the fragments and the vertex count, in O(1) per edge at any weight:
-    `vertices`, `edges` and `bases` are filled together, by `_fill` through
-    `__getattr__`, the first time any of them is read, and a graph of more
-    than `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle` and
-    the decomposition check read only the fragments and `vertex_count`, so
-    they never fill a graph from `expand`.
+    the fragments and the three counts `vertex_count`, `edge_count` and
+    `basis_count`, in O(1) per edge at any weight: `vertices`, `edges` and
+    `bases` are filled together, by `_fill` through `__getattr__`, the
+    first time any of them is read, and a graph of more than
+    `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle`, the
+    decomposition check and the counts read only the fragments, so they
+    never fill a graph from `expand`. On any other graph the counts are
+    the lengths of the three fields.
     """
 
     vertices: tuple[ExpandedVertex, ...]
@@ -165,6 +162,14 @@ class ExpandedGraph:
         return len(self.vertices)
 
     @cached_property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def basis_count(self) -> int:
+        return len(self.bases)
+
+    @cached_property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -191,22 +196,6 @@ class ExpandedGraph:
     @cached_property
     def core_indices(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.vertices) if isinstance(v, CoreVertex))
-
-    @cached_property
-    def _aux_lookup(self) -> dict[tuple[int, str, int], int]:
-        return {
-            (v.edge, v.kind, v.level): i
-            for i, v in enumerate(self.vertices)
-            if isinstance(v, AuxVertex)
-        }
-
-    def aux_index(self, edge_id: int, kind: str, level: int) -> int:
-        try:
-            return self._aux_lookup[(edge_id, kind, level)]
-        except KeyError:
-            raise ValidationError(
-                f"no auxiliary vertex e{edge_id}:{kind}{level} in this graph"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -237,34 +226,29 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-# Layouts kept for reuse: a weight-n layout holds about 1.4 KB per unit of
-# weight, so the cache retains at most 16 layouts of the weights last used.
-@lru_cache(maxsize=16)
-def _gadget(
-    weight: int,
-) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
-    """Local layout of a weight-n gadget: auxiliary labels, edges and bases.
+def _place(weight: int, i: int, j: int, first: int,
+           edges: list[tuple[int, int]], bases: list[tuple[int, int, int]]) -> None:
+    """Append the edges and bases of a weight-n gadget on the cores i < j
+    whose auxiliary vertices are the graph indices from `first` > j on.
 
-    The endpoint cores are local vertices 0 and 1, and auxiliary vertex t is
-    local vertex 2 + t in construction order: p chain levels 0..n-1, q chain
-    levels 0..n-1, then per level 1..n the bridging four (a+, a-, b+, b-).
-    Every edge pair and basis triple is listed in increasing local order,
-    no edge twice, and every basis is a triangle of the listed edges;
-    `_assemble` relies on this, and the tests check it for many weights.
-    The layout is cached and shared, so it is made of tuples only.
+    The auxiliary vertices are in construction order: p chain levels
+    0..n-1, q chain levels 0..n-1, then per level 1..n the bridging four
+    (a+, a-, b+, b-); level n of each chain is its endpoint core. The chain
+    bottoms (p0, q0) are joined, and every level lays the same 10 edges and
+    2 bases between its bridging four and the chain vertices of its own
+    level and the level below, at an offset of 4 per level. Weight 0 is the
+    plain edge (i, j). Every edge pair and basis triple is listed in
+    increasing order, no edge twice, and every basis is a triangle of the
+    listed edges; `_assemble` relies on this, and the tests check it for
+    many weights.
     """
-    if weight == 0:
-        return (), ((0, 1),), ()
-    labels = [("p", level) for level in range(weight)]
-    labels += [("q", level) for level in range(weight)]
-    labels += [(kind, level) for level in range(1, weight + 1) for kind in AUX_KINDS[2:]]
     # Chain vertex at each level 0..n; level n is the endpoint core itself.
-    chain_p = [*range(2, 2 + weight), 0]
-    chain_q = [*range(2 + weight, 2 + 2 * weight), 1]
-    edges = [(chain_p[0], chain_q[0])]
-    bases = []
-    for level in range(1, weight + 1):
-        ap, am, bp, bm = range(4 * level + 2 * weight - 2, 4 * level + 2 * weight + 2)
+    chain_p = [*range(first, first + weight), i]
+    chain_q = [*range(first + weight, first + 2 * weight), j]
+    edges.append((chain_p[0], chain_q[0]))
+    # The a+ of each level 1..n; the level's a-, b+ and b- follow it.
+    for level, ap in enumerate(range(first + 2 * weight, first + 6 * weight, 4), start=1):
+        am, bp, bm = ap + 1, ap + 2, ap + 3
         p_low, q_low = chain_p[level - 1], chain_q[level - 1]
         p_high, q_high = chain_p[level], chain_q[level]
         edges += [
@@ -273,16 +257,32 @@ def _gadget(
             (p_high, ap), (p_high, am), (q_high, bp), (q_high, bm),
         ]
         bases += [(p_low, ap, bp), (q_low, am, bm)]
-    return tuple(labels), tuple(edges), tuple(bases)
 
 
-def _aux_vertices(edge_id: int, labels: Iterable[tuple[str, int]]) -> list[AuxVertex]:
-    """The auxiliary vertices of edge `edge_id` for a `_gadget` label list.
-
-    Every kind in a layout is one of `AUX_KINDS`, so each vertex skips the
-    constructor and its kind check: its slots are filled directly, at about
-    half the cost.
+# Local views kept for reuse: `hypergraph_observable_value` reads one per
+# fragment on every call. A view holds about 1 KB per unit of weight.
+@lru_cache(maxsize=16)
+def _gadget(weight: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
+    """Local view of a weight-n gadget, its edges and bases, placed by
+    `_place` on the cores 0 and 1 with auxiliary vertex t at local vertex
+    2 + t. The view is cached and shared, so it is made of tuples only.
     """
+    edges: list[tuple[int, int]] = []
+    bases: list[tuple[int, int, int]] = []
+    _place(weight, 0, 1, 2, edges, bases)
+    return tuple(edges), tuple(bases)
+
+
+def _aux_vertices(edge_id: int, weight: int) -> list[AuxVertex]:
+    """The 6n auxiliary vertices of the weight-n edge `edge_id`, in the
+    construction order of `_place`.
+
+    Every kind is one of `AUX_KINDS`, so each vertex skips the constructor
+    and its kind check: its slots are filled directly, at about half the
+    cost.
+    """
+    labels = [(kind, level) for kind in AUX_KINDS[:2] for level in range(weight)]
+    labels += [(kind, level) for level in range(1, weight + 1) for kind in AUX_KINDS[2:]]
     set_edge, set_kind, set_level = AuxVertex.edge.__set__, AuxVertex.kind.__set__, AuxVertex.level.__set__
     vertices = []
     for kind, level in labels:
@@ -298,55 +298,55 @@ def _assemble(vertex_count: int, placements: Iterable[tuple[int, int, int, int]]
     """Place one gadget per (edge id, i, j, weight) on `vertex_count` shared cores.
 
     The placements join distinct core pairs i < j < `vertex_count`. Each
-    gadget's auxiliary block starts where the previous one ends, so the
-    fragment's vertex order increases (i < j < every new vertex), pairs
-    stay sorted and distinct and bases stay triangles: the graph is valid
-    and its fragments describe it, so it is built with its core count and
-    unchecked. Only the fragments and the vertex count are built here, in
-    O(1) per placement at any weight; `_fill` lays out the vertices, edges
-    and bases from them when one is first read, through
-    `ExpandedGraph.__getattr__`.
+    gadget's auxiliary block starts where the previous one ends, so every
+    new vertex comes after both cores, pairs stay sorted and distinct and
+    bases stay triangles: the graph is valid and its fragments describe it,
+    so it is built with its core count and unchecked. Only the fragments
+    and the three counts are built here, in O(1) per placement at any
+    weight: a weight-w edge has 6w auxiliary vertices, 10w + 1 edges and 2w
+    bases. `_fill` lays out the vertices, edges and bases from the
+    fragments when one is first read, through `ExpandedGraph.__getattr__`.
     """
     # The fragments and the graph are right by construction, so their fields
     # are written directly, as the frozen dataclasses' generated __init__
     # would, without the constructors' checks: a fragment costs about half.
     fragments: list[Fragment] = []
-    n = vertex_count
+    weight_sum = 0
     for edge_id, i, j, weight in placements:
         f = object.__new__(Fragment)
-        vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight, first=n)
+        vars(f).update(edge_id=edge_id, endpoints=(i, j), weight=weight, first=vertex_count + 6 * weight_sum)
         fragments.append(f)
-        n += 6 * weight
+        weight_sum += weight
     g = object.__new__(ExpandedGraph)
-    vars(g).update(fragments=tuple(fragments), _assembled_cores=vertex_count, vertex_count=n)
+    vars(g).update(fragments=tuple(fragments), _assembled_cores=vertex_count,
+                   vertex_count=vertex_count + 6 * weight_sum, edge_count=10 * weight_sum + len(fragments),
+                   basis_count=2 * weight_sum)
     return g
 
 
 def check_expansion_limit(g: ExpandedGraph) -> None:
     """Refuse a graph of more than `EXPAND_MAX_VERTICES` vertices, as `_fill`
-    does before it allocates: a caller that fills a graph only after other
-    work checks first."""
+    does before it allocates: a caller that would fill a graph only after
+    other work, or that reads only its counts, checks first, so it refuses
+    as the fill would."""
     if g.vertex_count > EXPAND_MAX_VERTICES:
         raise CapacityError(f"{g.vertex_count} vertices exceed the expansion limit of {EXPAND_MAX_VERTICES}")
 
 
 def _fill(g: ExpandedGraph) -> dict:
     """Write the vertices, edges and bases of a graph from `_assemble`: the
-    cores, then each fragment's auxiliary vertices, edges and bases, its
-    `_gadget` layout relabelled through the fragment's vertex order.
-    Returns the graph's instance dict. This is the only code that allocates
-    per expanded vertex, so it refuses a graph of more than
+    cores, then each fragment's auxiliary vertices, and its edges and bases
+    placed by `_place` at the fragment's cores and first index. Returns the
+    graph's instance dict. This is the only code that allocates per
+    expanded vertex, so it refuses a graph of more than
     `EXPAND_MAX_VERTICES` vertices before it allocates any."""
     check_expansion_limit(g)
     vertices: list[ExpandedVertex] = [CoreVertex(i) for i in range(g._assembled_cores)]
     edges: list[tuple[int, int]] = []
     bases: list[tuple[int, int, int]] = []
     for f in g.fragments:
-        labels, local_edges, local_bases = _gadget(f.weight)
-        order = f.vertex_indices
-        vertices += _aux_vertices(f.edge_id, labels)
-        edges += [(order[s], order[t]) for s, t in local_edges]
-        bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
+        vertices += _aux_vertices(f.edge_id, f.weight)
+        _place(f.weight, *f.endpoints, f.first, edges, bases)
     fields = vars(g)
     fields.update(vertices=tuple(vertices), edges=frozenset(edges), bases=tuple(bases))
     return fields
@@ -520,15 +520,34 @@ def _gadget_table(weight: int) -> tuple[float, ...]:
     (local vertices 0 and 1) take the 0/1 states a and b, at index a + 2b:
     the pair-factor layout that `mis_oracle` puts on the fragment's cores.
 
-    Each entry is a `_max_sum` over the layout of `_gadget` with the cores
-    `_fix`ed at (a, b): each auxiliary vertex gains 1 and each layout edge
-    forbids both its ends at 1, so a core at 1 leaves its layout neighbours
-    a `_FORBIDDEN` gain. The four problems share one elimination plan. An
-    infeasible pair (weight 0: both cores at 1) is `_FORBIDDEN`.
+    Weights 0-2 are solved: each entry is a `_max_sum` over the local view
+    of `_gadget` with the cores `_fix`ed at (a, b). Each auxiliary vertex
+    gains 1 and each edge forbids both its ends at 1, so a core at 1 leaves
+    its neighbours a `_FORBIDDEN` gain. The four problems share one
+    elimination plan. An infeasible pair (weight 0: both cores at 1) is
+    `_FORBIDDEN`.
+
+    Heavier weights follow by max-plus linearity. Let V_l(x, y) be the most
+    independent vertices among the chain vertices below level l and the
+    bridging vertices of levels 1..l, given the level-l chain vertices
+    (p_l, q_l) at (x, y). V_0 is the table of the edge (p0, q0), and since
+    the cores are p_n and q_n, the weight-n table is T_n = V_n. Every level
+    is the same pattern (see `_place`), so V_{l+1} = M(V_l) for one fixed
+    max-plus linear map M: M(V)(x, y) is the max over (x', y') of
+    V(x', y') + x' + y' plus the most bridging vertices of one level
+    between (x', y') below and (x, y) above. Hence T_{n+1} = M(T_n) for
+    every n >= 0. A max-plus linear map commutes with adding a constant c
+    to every entry, so T_2 = T_1 + c gives T_{n+1} = T_n + c for every
+    n >= 1 by induction, and T_n = T_1 + (n - 1)(T_2 - T_1). The solved
+    T_2 - T_1 is the uniform (2, 2, 2, 2), as the tests check, so every
+    heavier table takes O(1) and keeps exact integer entries.
     """
-    labels, edges, _ = _gadget(weight)
+    if weight > 2:
+        one, two = _gadget_table(1), _gadget_table(2)
+        return tuple(t1 + (weight - 1) * (t2 - t1) for t1, t2 in zip(one, two))
+    edges, _ = _gadget(weight)
     blocked = [0, 0, 0, _FORBIDDEN]
-    gain, factors = [0, 0] + [1] * len(labels), [(pair, blocked) for pair in edges]
+    gain, factors = [0, 0] + [1] * (6 * weight), [(pair, blocked) for pair in edges]
     plan = _elimination_order(len(gain), edges)  # a chain of levels: width 3
     problems = [_fix(gain, factors, 0, {0: a, 1: b}) for b in (0, 1) for a in (0, 1)]
     return tuple(const + _max_sum(fixed, rest, plan) for fixed, rest, const in problems)
@@ -690,7 +709,8 @@ def _fix(gain: Sequence[int], factors: Sequence[tuple[tuple[int, int], Sequence]
     variable fixed at 1 gives each free neighbour that it forbids a
     `_FORBIDDEN` gain, and `_max_sum` stays exact on such a problem because
     its max takes that neighbour's 0 state. (`_conditioned` fixes those
-    neighbours at 0 as well; `_gadget_table` leaves them free.)
+    neighbours at 0 as well; `_gadget_table`, which fixes only the two
+    cores of a gadget of weight at most 2, leaves them free.)
     """
     gain = list(gain)
     for v, x in fixed.items():

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from kshg import Assignment, AuxVertex, CoreVertex, ExpandedGraph, HyperGraph, Ray
 from kshg._indset import _components, _max_set
-from kshg.expansion import Fragment, _gadget
+from kshg.expansion import _FORBIDDEN, Fragment, _elimination_order, _fix, _gadget, _max_sum
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -149,7 +149,7 @@ def _fragment_core_count(g: ExpandedGraph) -> int | None:
     Exactly means: the first k vertices are `CoreVertex(0..k-1)`, each
     fragment joins two distinct cores (no pair twice) and owns the next
     contiguous block of 6n vertices (it starts at `first`), every edge of its relabelled `_gadget`
-    layout is in `g.edges`, and those edges are all of `g.edges`.
+    view is in `g.edges`, and those edges are all of `g.edges`.
     """
     k = len(g.vertices) - 6 * sum(f.weight for f in g.fragments)
     if k < 0 or not all(type(v) is CoreVertex and v.index == i for i, v in enumerate(g.vertices[:k])):
@@ -163,9 +163,37 @@ def _fragment_core_count(g: ExpandedGraph) -> int | None:
         order = (i, j, *range(start, start + 6 * f.weight))
         if not 0 <= i < j < k or f.first != start:
             return None
-        relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[1]]
+        relabelled += [(order[s], order[t]) for s, t in _gadget(f.weight)[0]]
         start += 6 * f.weight
     return k if len(relabelled) == len(g.edges) and g.edges.issuperset(relabelled) else None
+
+
+def aux_labels(weight: int) -> list[tuple[str, int]]:
+    """The (kind, level) of each auxiliary vertex of a weight-n gadget in
+    construction order: p chain levels 0..n-1, q chain levels 0..n-1, then
+    per level 1..n the bridging four (a+, a-, b+, b-)."""
+    return ([("p", level) for level in range(weight)] + [("q", level) for level in range(weight)]
+            + [(kind, level) for level in range(1, weight + 1) for kind in ("a+", "a-", "b+", "b-")])
+
+
+def aux_index(g: ExpandedGraph, edge_id: int, kind: str, level: int) -> int:
+    """The graph index of the auxiliary vertex e<edge_id>:<kind><level>,
+    found by a scan of `g.vertices`."""
+    return g.vertices.index(AuxVertex(edge_id, kind, level))
+
+
+def _gadget_table_reference(weight: int) -> tuple[float, ...]:
+    """Reference for `expansion._gadget_table` at every weight: the four
+    problems over the whole local view of `_gadget`, one per state (a, b)
+    of the cores at index a + 2b, each with the cores fixed, solved by
+    `_max_sum` along one elimination plan (about 0.3 ms per unit of
+    weight)."""
+    edges, _ = _gadget(weight)
+    blocked = [0, 0, 0, _FORBIDDEN]
+    gain, factors = [0, 0] + [1] * (6 * weight), [(pair, blocked) for pair in edges]
+    plan = _elimination_order(len(gain), edges)
+    problems = [_fix(gain, factors, 0, {0: a, 1: b}) for b in (0, 1) for a in (0, 1)]
+    return tuple(const + _max_sum(fixed, rest, plan) for fixed, rest, const in problems)
 
 
 def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int, int]]) -> ExpandedGraph:
@@ -173,18 +201,19 @@ def _eager_assemble(vertex_count: int, placements: Sequence[tuple[int, int, int,
     pass through the public, checking constructor.
 
     The cores come first; each (edge id, i, j, weight) placement appends its
-    gadget's auxiliary vertices, and its `_gadget` layout is relabelled
-    through the fragment's vertex order (i, j, then the new vertices).
+    gadget's auxiliary vertices, labelled by `aux_labels`, and its `_gadget`
+    view is relabelled through the fragment's vertex order (i, j, then the
+    new vertices).
     """
     vertices: list = [CoreVertex(i) for i in range(vertex_count)]
     edges: list[tuple[int, int]] = []
     bases: list[tuple[int, int, int]] = []
     fragments: list[Fragment] = []
     for edge_id, i, j, weight in placements:
-        labels, local_edges, local_bases = _gadget(weight)
+        local_edges, local_bases = _gadget(weight)
         first = len(vertices)
-        order = (i, j, *range(first, first + len(labels)))
-        vertices += [AuxVertex(edge_id, kind, level) for kind, level in labels]
+        order = (i, j, *range(first, first + 6 * weight))
+        vertices += [AuxVertex(edge_id, kind, level) for kind, level in aux_labels(weight)]
         edges += [(order[s], order[t]) for s, t in local_edges]
         bases += [(order[s], order[t], order[u]) for s, t, u in local_bases]
         fragments.append(Fragment(edge_id, (i, j), weight, first))
@@ -351,5 +380,5 @@ def _aux_index_restrict(
             sub_edge = sub_h.edges[vert.edge]
             old_pair = (old_of_new[sub_edge.i], old_of_new[sub_edge.j])
             original_edge_id = h.edge_index[old_pair]
-            values.append(a.values[g.aux_index(original_edge_id, vert.kind, vert.level)])
+            values.append(a.values[aux_index(g, original_edge_id, vert.kind, vert.level)])
     return Assignment(tuple(values))

@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from _fixtures import aux_index
+
 from kshg import (
     Assignment,
     Classification,
@@ -139,7 +141,7 @@ def test_criterion_07_forced_contradiction():
         outcome = ks_propagate(g, {0: 1, 1: 1})
         assert outcome.contradiction
         assert outcome.violation.kind == "edge"
-        expected = {g.aux_index(0, "p", 0), g.aux_index(0, "q", 0)}
+        expected = {aux_index(g, 0, "p", 0), aux_index(g, 0, "q", 0)}
         assert set(outcome.violation.vertices) == expected
     _ok("criterion 07: propagation contradicts at the (p0, q0) edge for n=1..4")
 

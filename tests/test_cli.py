@@ -417,8 +417,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("weight, refused", [(166666, False), (166667, True)])
     def test_expansion_limit_boundary(self, capsys, tmp_path, monkeypatch, weight, refused):
-        # 2 + 6 * 166666 = 999,998 vertices fit: the fill gets past its check
-        # to the cores, where the stub stops it
+        # 2 + 6 * 166666 = 999,998 vertices fit: `kshg expand` prints the
+        # counts of the fragments without a fill, and the demo's fill gets
+        # past its check to the cores, where the stub stops it
         class Reached(Exception):
             pass
 
@@ -428,13 +429,19 @@ class TestExitCodes:
         monkeypatch.setattr("kshg.expansion.CoreVertex", reached)
         graph = tmp_path / "edge.hg"
         graph.write_text(f"vertices 2\nedge 1 2 {weight}\n")
-        for argv in (["expand", str(graph)], ["demo", "clifton", "--n", str(weight)]):
-            if refused:
+        expand, demo = ["expand", str(graph)], ["demo", "clifton", "--n", str(weight)]
+        if refused:
+            for argv in (expand, demo):
                 assert run(capsys, *argv) == (
                     2, "", "capacity error: 1000004 vertices exceed the expansion limit of 1000000\n")
-            else:
-                with pytest.raises(Reached):
-                    main(argv)
+        else:
+            code, out, err, peak = self._run_traced(capsys, *expand)
+            assert (code, err) == (0, "")
+            assert out == (f"command = expand\ninput = {graph}\nvertices = 2\n"
+                           "expanded_vertices = 999998\nexpanded_edges = 1666661\nbases = 333332\n")
+            assert peak < 1_000_000
+            with pytest.raises(Reached):
+                main(demo)
 
     @pytest.mark.parametrize("weight", [10**6, 10**18])
     def test_verify_counts_rays_before_allocation(self, capsys, tmp_path, weight):

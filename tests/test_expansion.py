@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _fixtures import (_eager_assemble, _fragment_core_count, _gray_walk_max, _max_sum_reference,
-                       _min_degree_order, _plan_in_order)
+from _fixtures import (_eager_assemble, _fragment_core_count, _gadget_table_reference, _gray_walk_max,
+                       _max_sum_reference, _min_degree_order, _plan_in_order, aux_index, aux_labels)
 
 from kshg import (
     Assignment,
@@ -120,8 +120,8 @@ class TestGadgetStructure:
             vert = small.vertices[v]
             if isinstance(vert, CoreVertex):
                 kind = "p" if vert.index == 0 else "q"
-                return big.aux_index(0, kind, n - 1)
-            return big.aux_index(0, vert.kind, vert.level)
+                return aux_index(big, 0, kind, n - 1)
+            return aux_index(big, 0, vert.kind, vert.level)
 
         for i, j in small.edges:
             a, b = embed(i), embed(j)
@@ -159,18 +159,21 @@ class TestGadgetStructure:
     @pytest.mark.parametrize("n", (0, 1, 2, 3, 5, 8, 13, 40))
     def test_layout_passes_the_graph_check(self, n):
         # `_assemble` builds graphs from these layouts without checking them
-        labels, edges, bases = expansion._gadget(n)
+        edges, bases = expansion._gadget(n)
         assert len(set(edges)) == len(edges)
-        vertices = (CoreVertex(0), CoreVertex(1), *(AuxVertex(0, kind, level) for kind, level in labels))
+        assert (len(edges), len(bases)) == (10 * n + 1, 2 * n)
+        vertices = (CoreVertex(0), CoreVertex(1), *(AuxVertex(0, kind, level) for kind, level in aux_labels(n)))
         ExpandedGraph(vertices, frozenset(edges), bases)  # raises on a bad pair, basis or kind
 
-    def test_unchecked_aux_vertices_match_the_constructor(self):
-        labels = expansion._gadget(2)[0]
-        built = expansion._aux_vertices(7, labels)
+    @pytest.mark.parametrize("n", (0, 1, 2, 5))
+    def test_unchecked_aux_vertices_match_the_constructor(self, n):
+        built = expansion._aux_vertices(7, n)
+        labels = aux_labels(n)
         assert built == [AuxVertex(7, kind, level) for kind, level in labels]
         assert [hash(v) for v in built] == [hash(AuxVertex(7, kind, level)) for kind, level in labels]
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            built[0].level = 5
+        if built:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built[0].level = 5
 
 
 class TestExpand:
@@ -197,9 +200,15 @@ class TestExpand:
         for _ in range(30):
             h = random_hypergraph(rng, rng.randint(2, 6), max_weight=3)
             g = expand(h)
-            assert len(g.vertices) == h.vertex_count + 6 * h.weight_sum
-            assert len(g.edges) == sum(10 * e.weight + 1 for e in h.edges)
-            assert len(g.bases) == 2 * h.weight_sum
+            counts = (g.vertex_count, g.edge_count, g.basis_count)
+            assert _unfilled(g)  # the counts come from the fragments
+            assert counts == (h.vertex_count + 6 * h.weight_sum,
+                              sum(10 * e.weight + 1 for e in h.edges), 2 * h.weight_sum)
+            assert counts == (len(g.vertices), len(g.edges), len(g.bases))
+            copied = dataclasses.replace(g, bases=g.bases[1:] if g.bases else ())
+            assert (copied.vertex_count, copied.edge_count, copied.basis_count) == (
+                len(copied.vertices), len(copied.edges), len(copied.bases))
+            assert copied.basis_count == max(g.basis_count - 1, 0)
 
     def test_cores_first_and_shared(self):
         h = generate(FamilySpec("complete", k=3, weights=2))
@@ -213,13 +222,7 @@ class TestExpand:
         g = expand(h)
         for frag in g.fragments:
             standalone = expand_hyper_edge(frag.weight, frag.edge_id)
-            assert len(frag.vertex_indices) == len(standalone.vertices)
-            for local, global_idx in enumerate(frag.vertex_indices):
-                mine = g.vertices[global_idx]
-                theirs = standalone.vertices[local]
-                if isinstance(theirs, AuxVertex):
-                    assert isinstance(mine, AuxVertex)
-                    assert (mine.kind, mine.level) == (theirs.kind, theirs.level)
+            assert [g.vertices[v] for v in frag.aux] == list(standalone.vertices[2:])
 
 
 class TestEvaluate:
@@ -236,7 +239,7 @@ class TestEvaluate:
         # {P1, P2, p0} is independent: cores touch only their bridging pairs
         values = [0] * 8
         values[0] = values[1] = 1
-        values[g.aux_index(0, "p", 0)] = 1
+        values[aux_index(g, 0, "p", 0)] = 1
         assert evaluate(g, Assignment(tuple(values))) == 3
 
     def test_size_mismatch(self):
@@ -655,9 +658,21 @@ class TestMisOracle:
         reference = 2 * weight - 1 if weight else float("-inf")
         assert table == (2 * weight, 2 * weight, 2 * weight, reference)
 
-    @pytest.mark.parametrize("weight", (9, 16, 64, 200))
+    @pytest.mark.parametrize("weight", (9, 16, 64, 200, 166666, 10**18))
     def test_gadget_table_of_heavy_weights(self, weight):
         assert expansion._gadget_table(weight) == (2 * weight, 2 * weight, 2 * weight, 2 * weight - 1)
+
+    @pytest.mark.parametrize("weight", [*range(101), 1000])
+    def test_gadget_table_matches_the_whole_elimination(self, weight):
+        table, reference = expansion._gadget_table(weight), _gadget_table_reference(weight)
+        assert repr(table) == repr(reference)
+        assert [type(x) for x in table] == [type(x) for x in reference]
+
+    def test_one_level_shifts_the_table_uniformly(self):
+        """The premise of `_gadget_table`'s linear extension: the solved
+        weight-2 table is the weight-1 table plus one constant."""
+        one, two = expansion._gadget_table(1), expansion._gadget_table(2)
+        assert len({b - a for a, b in zip(one, two)}) == 1
 
     @pytest.mark.parametrize("spec, expected", [
         (FamilySpec("square-lattice", mx=6, my=6), 138),
@@ -719,7 +734,7 @@ class TestMisOracle:
         """A hand-built graph takes the whole-graph route, every vertex a
         variable, whether or not its fragments describe it."""
         triangle = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
-        p0, q0 = triangle.aux_index(0, "p", 0), triangle.aux_index(0, "q", 0)
+        p0, q0 = aux_index(triangle, 0, "p", 0), aux_index(triangle, 0, "q", 0)
         dropped = ExpandedGraph(triangle.vertices, triangle.edges - {(p0, q0)}, (), triangle.fragments)
         # as many edges as the fragments list, one of them not theirs
         swapped = ExpandedGraph(triangle.vertices, dropped.edges | {(0, 2)}, (), triangle.fragments)
@@ -885,7 +900,7 @@ class TestAssembledGraphs:
 
     def test_public_and_replaced_graphs_are_checked(self, monkeypatch):
         g = expand(generate(FamilySpec("cyclic", k=3, weights=1)))
-        p0, q0 = g.aux_index(0, "p", 0), g.aux_index(0, "q", 0)
+        p0, q0 = aux_index(g, 0, "p", 0), aux_index(g, 0, "q", 0)
         rebuilt, copied = self._rebuilt(g), dataclasses.replace(g)
         dropped = dataclasses.replace(g, edges=g.edges - {(p0, q0)}, bases=())
         assert [x._assembled_cores for x in (rebuilt, copied, dropped)] == [None] * 3
@@ -1095,10 +1110,15 @@ class TestHeavyEdges:
 
     @settings(max_examples=100, deadline=None)
     @given(h=weighted_hypergraphs())
-    def test_vertex_indices_are_the_cores_then_the_aux_block(self, h):
-        for f, e in zip(expand(h).fragments, h.edges):
-            assert f.endpoints == (e.i, e.j) and f.weight == e.weight
-            assert f.vertex_indices == (e.i, e.j, *range(f.first, f.first + 6 * e.weight))
+    def test_aux_blocks_hold_the_placed_labels(self, h):
+        g = expand(h)
+        first = h.vertex_count
+        for pos, (f, e) in enumerate(zip(g.fragments, h.edges)):
+            assert (f.edge_id, f.endpoints, f.weight) == (pos, (e.i, e.j), e.weight)
+            assert f.aux == range(first, first + 6 * e.weight)
+            first = f.aux.stop
+            assert [g.vertices[v] for v in f.aux] == [AuxVertex(pos, *label) for label in aux_labels(e.weight)]
+        assert first == g.vertex_count
 
 
 class TestFillHook:
@@ -1161,12 +1181,12 @@ class TestKsPropagate:
         outcome = ks_propagate(g, {0: 1, 1: 1})
         assert outcome.contradiction
         assert outcome.violation.kind == "edge"
-        p0 = g.aux_index(0, "p", 0)
-        q0 = g.aux_index(0, "q", 0)
+        p0 = aux_index(g, 0, "p", 0)
+        q0 = aux_index(g, 0, "q", 0)
         assert set(outcome.violation.vertices) == {p0, q0}
         forced = {s.vertex: s.value for s in outcome.steps}
         for kind in ("a+", "a-", "b+", "b-"):
-            assert forced[g.aux_index(0, kind, 1)] == 0
+            assert forced[aux_index(g, 0, kind, 1)] == 0
         assert forced[p0] == 1 or forced[q0] == 1
 
     def test_one_endpoint_consistent(self):
@@ -1186,7 +1206,7 @@ class TestKsPropagate:
         assert deep.contradiction
         assert len(deep.steps) > len(shallow.steps)
         g2 = expand_hyper_edge(2)
-        assert set(deep.violation.vertices) == {g2.aux_index(0, "p", 0), g2.aux_index(0, "q", 0)}
+        assert set(deep.violation.vertices) == {aux_index(g2, 0, "p", 0), aux_index(g2, 0, "q", 0)}
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_contradiction_for_all_weights(self, n):
