@@ -15,10 +15,10 @@ from .hypergraph import (
     DEFAULT_MIS_LIMIT,
     FamilySpec,
     HyperGraph,
+    _least_weight,
     closed_form_independence,
     family_edge_pairs,
     family_weights,
-    hyper_edge_weight,
     max_independent_set,
     remove_vertex,
 )
@@ -160,14 +160,14 @@ def quantum_range(h: HyperGraph, *, underweight: str = "error") -> QuantumRange:
     is below what their endpoint overlap requires make the model
     unrealizable; set `underweight="warn"` to downgrade that to a warning.
     """
-    from .linalg3 import eigensystem, overlap, projector_sum
+    from .linalg3 import _eigh, _projector_sum
 
     if underweight not in ("error", "warn"):
         raise ValidationError(f"underweight must be 'error' or 'warn', got {underweight!r}")
     if h.rays is None:
         raise ValidationError("quantum range needs a ray bound to every vertex")
-    for e in h.edges:
-        required = hyper_edge_weight(overlap(h.rays[e.i], h.rays[e.j]))
+    for e, o in zip(h.edges, h.overlaps):
+        required = _least_weight(o)
         if e.weight < required:
             message = (
                 f"edge (p{e.i + 1}, p{e.j + 1}) has weight {e.weight} but its ray overlap "
@@ -176,9 +176,10 @@ def quantum_range(h: HyperGraph, *, underweight: str = "error") -> QuantumRange:
             if underweight == "error":
                 raise ValidationError(message)
             warnings.warn(message, stacklevel=2)
-    eig = eigensystem(projector_sum(h.rays))
-    lam_min = eig.eigenvalues[0]
-    lam_max = eig.eigenvalues[2]
+    # the first and last eigenvalue of `eigensystem(projector_sum(h.rays))`, by the same operations
+    eigenvalues = _eigh(_projector_sum([r.amplitudes for r in h.rays])).eigenvalues
+    lam_min = float(eigenvalues[0])
+    lam_max = float(eigenvalues[2])
     weight_term = 2 * h.weight_sum
     return QuantumRange(weight_term + lam_min, weight_term + lam_max, lam_min, lam_max, weight_term)
 
@@ -243,7 +244,7 @@ def verify_realization(
     """
     import numpy as np
 
-    from .linalg3 import overlap, projector_sum
+    from .linalg3 import _projector_sum
 
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and non-negative, got {tol}")
@@ -261,52 +262,58 @@ def verify_realization(
                 f"expected {n} coordinate rays, got {len(coords)}"
             )
         rays = list(coords)
+    vectors = [r.amplitudes for r in rays]
+    vdot = np.vdot
     identity = np.eye(3, dtype=np.complex128)
+
+    def pair_label(i: int, j: int) -> str:
+        return f"({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
+
+    # Each check keeps the first place of its worst deviation and labels it at the end.
     checks = []
 
-    worst, item = 0.0, "-"
+    worst, at = 0.0, None
     for i, j in g.sorted_edges:
-        d = overlap(rays[i], rays[j])
+        d = float(abs(vdot(vectors[i], vectors[j])))
         if d > worst:
-            worst = d
-            item = f"edge ({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
+            worst, at = d, (i, j)
+    item = "-" if at is None else f"edge {pair_label(*at)}"
     checks.append(CheckResult("edge-orthogonality", worst <= tol, worst, item))
 
-    worst, item = 0.0, "-"
-    for pos, triple in enumerate(g.bases):
-        d = 0.0
-        for a in range(3):
-            for b in range(a + 1, 3):
-                d = max(d, overlap(rays[triple[a]], rays[triple[b]]))
-        total = projector_sum(rays[t] for t in triple).matrix
-        d = max(d, float(np.max(np.abs(total - identity))))
+    worst, at = 0.0, None
+    for pos, (a, b, c) in enumerate(g.bases):
+        va, vb, vc = vectors[a], vectors[b], vectors[c]
+        d = max(
+            0.0,
+            float(abs(vdot(va, vb))),
+            float(abs(vdot(va, vc))),
+            float(abs(vdot(vb, vc))),
+            float(np.abs(_projector_sum([va, vb, vc]) - identity).max()),
+        )
         if d > worst:
-            worst = d
-            item = f"basis {pos}"
+            worst, at = d, pos
+    item = "-" if at is None else f"basis {at}"
     checks.append(CheckResult("basis-completeness", worst <= tol, worst, item))
 
-    worst, item = 0.0, "-"
+    worst, at = 0.0, None
     for frag in g.fragments:
         i, j = frag.endpoints
         limit = frag.weight / (frag.weight + 2)
-        excess = max(0.0, overlap(rays[i], rays[j]) - limit)
+        excess = max(0.0, float(abs(vdot(vectors[i], vectors[j]))) - limit)
         if excess > worst:
-            worst = excess
-            item = (
-                f"edge e{frag.edge_id} "
-                f"({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
-            )
+            worst, at = excess, frag
+    item = "-" if at is None else f"edge e{at.edge_id} {pair_label(*at.endpoints)}"
     checks.append(CheckResult("endpoint-overlap", worst <= tol, worst, item))
 
-    worst, item = 0.0, "-"
+    worst, at = 0.0, None
     for frag in g.fragments:
         if frag.weight == 0:
             continue  # no auxiliary vertices: an empty sum deviates by 0
-        total = projector_sum(rays[t] for t in frag.aux).matrix
-        d = float(np.max(np.abs(total - 2 * frag.weight * identity)))
+        total = _projector_sum([vectors[t] for t in frag.aux])
+        d = float(np.abs(total - 2 * frag.weight * identity).max())
         if d > worst:
-            worst = d
-            item = f"edge e{frag.edge_id}"
+            worst, at = d, frag
+    item = "-" if at is None else f"edge e{at.edge_id}"
     checks.append(CheckResult("gadget-projector-sum", worst <= tol, worst, item))
 
     return RealizationReport(tuple(checks))

@@ -16,7 +16,7 @@ import os
 import random
 import sys
 import warnings
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .bounds import (
     check_subgraph_decomposition,
@@ -31,11 +31,11 @@ from .expansion import (
     Assignment,
     brute_force_max,
     check_expansion_limit,
+    dot_lines,
     expand,
     expand_hyper_edge,
     ks_propagate,
     mis_oracle,
-    to_dot,
     vertex_label,
 )
 from .hypergraph import (
@@ -77,32 +77,41 @@ _int, _float = _number(int), _number(float)
 
 
 def parse_rays(text: str, normalize: bool = False) -> list[Ray]:
-    """Parse the rays format: six reals per line (re im per amplitude)."""
+    """Parse the rays format: six reals per line (re im per amplitude).
+
+    numpy's floating-point warnings are off for the whole file: a norm that
+    overflows or underflows is refused by `Ray`, or rescaled by
+    `Ray.normalized`, and a refusal is the one `error:` line.
+    """
+    import numpy as np
+
     from .linalg3 import Ray
 
+    make = Ray.normalized if normalize else Ray
     rays = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValidationError(
-                f"line {lineno}: expected 6 numbers (re0 im0 re1 im1 re2 im2), got {len(parts)}"
+    with np.errstate(all="ignore"):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 6:
+                raise ValidationError(
+                    f"line {lineno}: expected 6 numbers (re0 im0 re1 im1 re2 im2), got {len(parts)}"
+                )
+            try:
+                nums = [_float(p) for p in parts]
+            except ValueError:
+                raise ValidationError(f"line {lineno}: malformed number in {line!r}") from None
+            amplitudes = (
+                complex(nums[0], nums[1]),
+                complex(nums[2], nums[3]),
+                complex(nums[4], nums[5]),
             )
-        try:
-            nums = [_float(p) for p in parts]
-        except ValueError:
-            raise ValidationError(f"line {lineno}: malformed number in {line!r}") from None
-        amplitudes = (
-            complex(nums[0], nums[1]),
-            complex(nums[2], nums[3]),
-            complex(nums[4], nums[5]),
-        )
-        try:
-            rays.append(Ray.normalized(amplitudes) if normalize else Ray(amplitudes))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
+            try:
+                rays.append(make(amplitudes))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
     return rays
 
 
@@ -207,10 +216,11 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _write(path: str, content: str) -> None:
+def _write(path: str, content: str | Iterable[str]) -> None:
+    """Write `content`, a string or an iterable of strings streamed in turn."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.writelines((content,) if isinstance(content, str) else content)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
@@ -382,7 +392,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         ("bases", g.basis_count),
     ]
     if args.dot is not None:
-        _write(args.dot, to_dot(g))
+        _write(args.dot, dot_lines(g))  # streamed: the text is never held whole
         items.append(("dot", args.dot))
     _emit(items, args.json)
     return 0

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
-from typing import TYPE_CHECKING, ClassVar, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from . import _indset
 from .errors import CapacityError, ValidationError
@@ -900,15 +900,20 @@ def ks_propagate(fragment: ExpandedGraph, forced: Mapping[int, int]) -> Propagat
     return PropagationOutcome(False, tuple(steps), None, full)
 
 
-def to_dot(g: ExpandedGraph) -> str:
-    """DOT serialization; bases appear as comments since DOT has no triples."""
-    lines = ["graph expansion {"]
+def dot_lines(g: ExpandedGraph) -> Iterator[str]:
+    """The lines of `to_dot`, each ending in a newline, one at a time: a
+    writer streams them without holding the whole text."""
+    yield "graph expansion {\n"
     for pos, triple in enumerate(g.bases):
         members = " ".join(f"n{t}" for t in triple)
-        lines.append(f"  // basis {pos}: {members}")
+        yield f"  // basis {pos}: {members}\n"
     for idx, vert in enumerate(g.vertices):
-        lines.append(f'  n{idx} [label="{vertex_label(vert)}"];')
+        yield f'  n{idx} [label="{vertex_label(vert)}"];\n'
     for i, j in g.sorted_edges:
-        lines.append(f"  n{i} -- n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  n{i} -- n{j};\n"
+    yield "}\n"
+
+
+def to_dot(g: ExpandedGraph) -> str:
+    """DOT serialization; bases appear as comments since DOT has no triples."""
+    return "".join(dot_lines(g))

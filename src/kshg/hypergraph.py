@@ -72,11 +72,17 @@ class HyperEdge:
 
 @dataclass(frozen=True, eq=False)
 class HyperGraph:
-    """Vertices, optionally bound to rays, plus a set of weighted hyper-edges."""
+    """Vertices, optionally bound to rays, plus a set of weighted hyper-edges.
+
+    A ray-bound graph also keeps `overlaps`, the ray overlap of each edge in
+    the canonical edge order, as its parallel check computed them; on a
+    graph without rays it is None.
+    """
 
     vertex_count: int
     edges: tuple[HyperEdge, ...] = ()
     rays: tuple[Ray, ...] | None = None
+    overlaps = None  # not a field: set by `__post_init__` on a ray-bound graph
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertex_count", _as_int(self.vertex_count, "vertex count"))
@@ -103,8 +109,11 @@ class HyperGraph:
                 raise ValidationError(
                     f"{len(rays)} rays cannot bind to {self.vertex_count} vertices"
                 )
-            for e in canonical:
+            overlaps = tuple(
                 _non_parallel(overlap(rays[e.i], rays[e.j]), e.i, e.j, " across a hyper-edge")
+                for e in canonical
+            )
+            object.__setattr__(self, "overlaps", overlaps)
 
     @cached_property
     def weight_sum(self) -> int:
@@ -164,18 +173,28 @@ def hyper_edge_weight(overlap_value: float, cap: int | None = None) -> int | Non
                 f"overlap {overlap_value:.12g} >= 1 means parallel rays; no finite weight exists"
             )
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap_value!r}")
+    cap = _weight_cap(cap)
+    weight = _least_weight(overlap_value)
+    if cap is not None and weight > cap:
+        return None
+    return weight
+
+
+def _weight_cap(cap: int | None) -> int | None:
+    """`cap` checked: None, or a positive integer."""
     if cap is not None:
         cap = _as_int(cap, "weight cap")
         if cap < 1:
             raise ValidationError(f"weight cap must be a positive integer, got {cap}")
+    return cap
+
+
+def _least_weight(overlap_value: float) -> int:
+    """The weight of `hyper_edge_weight` for an overlap in [0, 1), unchecked."""
     shifted = overlap_value - WEIGHT_BOUNDARY_TOLERANCE
     if shifted <= 0.0:
-        weight = 0
-    else:
-        weight = max(0, math.ceil(2.0 * shifted / (1.0 - shifted) - 1e-12))
-    if cap is not None and weight > cap:
-        return None
-    return weight
+        return 0
+    return max(0, math.ceil(2.0 * shifted / (1.0 - shifted) - 1e-12))
 
 
 def _non_parallel(o: float, a: int, b: int, where: str = "") -> float:
@@ -193,11 +212,12 @@ def build_from_rays(rays: Sequence[Ray], cap: int | None = None) -> HyperGraph:
     rays = tuple(rays)
     if len(rays) < 2:
         raise ValidationError(f"need at least 2 rays to build a hyper-graph, got {len(rays)}")
+    cap = _weight_cap(cap)
     edges = []
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
-            weight = hyper_edge_weight(_non_parallel(overlap(rays[i], rays[j]), i, j), cap)
-            if weight is not None:
+            weight = _least_weight(_non_parallel(overlap(rays[i], rays[j]), i, j))
+            if cap is None or weight <= cap:
                 edges.append(HyperEdge(i, j, weight))
     return HyperGraph(len(rays), tuple(edges), rays)
 
@@ -354,7 +374,7 @@ def generate(spec: FamilySpec, rays: Sequence[Ray] | None = None) -> HyperGraph:
         rays = tuple(rays)
         if len(rays) != n:
             raise ValidationError(f"family {spec.family!r} needs {n} rays, got {len(rays)}")
-        weights = [hyper_edge_weight(_non_parallel(overlap(rays[a], rays[b]), a, b)) for a, b in pairs]
+        weights = [_least_weight(_non_parallel(overlap(rays[a], rays[b]), a, b)) for a, b in pairs]
     else:
         weights = family_weights(spec, len(pairs))
     edges = tuple(HyperEdge(a, b, w) for (a, b), w in zip(pairs, weights))

@@ -59,12 +59,27 @@ class Ray:
 
     @classmethod
     def normalized(cls, amplitudes) -> "Ray":
-        """Build a ray from any nonzero vector, normalizing it first."""
+        """Build a ray from any finite nonzero vector, normalizing it first.
+
+        A vector whose squared norm overflows, or underflows into the
+        subnormal range or to zero, is first scaled by a power of two, which
+        is exact, so that its largest part lies in [0.5, 1); numpy's
+        overflow and underflow warnings are off meanwhile. Every other
+        vector is divided by its norm as it stands.
+        """
         arr = _as_complex3(amplitudes)
-        norm = _norm(arr)
-        if norm <= 0.0 or not math.isfinite(norm):
-            raise ValidationError("cannot normalize a zero or non-finite vector")
-        return cls(arr / norm)
+        with np.errstate(over="ignore", under="ignore"):
+            norm = _norm(arr)
+            if 0.0 < norm < math.inf:
+                try:
+                    return cls(arr / norm)
+                except ValidationError:
+                    pass  # the squared norm lost its precision below the normal range
+            parts = np.ascontiguousarray(arr).view(np.float64)
+            if not (np.isfinite(parts).all() and parts.any()):
+                raise ValidationError("cannot normalize a zero or non-finite vector")
+            scaled = np.ldexp(parts, -math.frexp(np.abs(parts).max())[1]).view(np.complex128)
+            return cls(scaled / _norm(scaled))
 
     def __repr__(self) -> str:
         a, b, c = self.amplitudes
@@ -122,17 +137,30 @@ def projector(r: Ray) -> Hermitian3:
     return Hermitian3(np.outer(v, v.conj()))
 
 
-def projector_sum(rays: Iterable[Ray]) -> Hermitian3:
-    """Entrywise sum of the rank-1 projectors of the given rays.
+def _projector_sum(vectors: list[np.ndarray]) -> np.ndarray:
+    """Entrywise sum of the outer products v v^H of one or more unit vectors.
 
     One broadcast product makes every outer product, and the reduction adds
-    them to a zero matrix in the order given, as a running `+=` would.
+    them to a zero matrix in the order given, as a running `+=` would. The
+    sum of finite unit vectors' projectors is Hermitian to within a few ulps,
+    far inside `HERMITICITY_TOLERANCE`, so internal callers use the array
+    as it is.
     """
+    v = np.array(vectors)
+    return np.add.reduce(v[:, :, None] * v.conj()[:, None, :], axis=0, initial=0.0)
+
+
+def projector_sum(rays: Iterable[Ray]) -> Hermitian3:
+    """Entrywise sum of the rank-1 projectors of the given rays."""
     vectors = [r.amplitudes for r in rays]
     if not vectors:
         raise ValidationError("projector_sum needs at least one ray: no vertices are bound to rays")
-    v = np.array(vectors)
-    return Hermitian3(np.add.reduce(v[:, :, None] * v.conj()[:, None, :], axis=0, initial=0.0))
+    return Hermitian3(_projector_sum(vectors))
+
+
+def _eigh(a: np.ndarray):
+    """`np.linalg.eigh` of the exact Hermitian part (a + a^H)/2 of a 3x3 matrix."""
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 
 def eigensystem(m: Hermitian3) -> EigenDecomposition:
@@ -141,8 +169,8 @@ def eigensystem(m: Hermitian3) -> EigenDecomposition:
     The solver sees the exact Hermitian part (m + m^H)/2, so the 1e-12
     asymmetry the matrix may carry cannot skew the spectrum.
     """
-    a = m.matrix
-    values, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    values, vectors = _eigh(m.matrix)
     eigenvalues = tuple(float(x) for x in values)
     eigenvectors = tuple(Ray(vectors[:, k]) for k in range(3))
     return EigenDecomposition(eigenvalues, eigenvectors)  # type: ignore[arg-type]
+

@@ -2,12 +2,40 @@
 
 import heapq
 import math
+import warnings
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from kshg import Assignment, AuxVertex, CoreVertex, ExpandedGraph, HyperGraph, Ray
+import numpy as np
+
+from kshg import (
+    Assignment,
+    AuxVertex,
+    CoreVertex,
+    ExpandedGraph,
+    HyperGraph,
+    Ray,
+    ValidationError,
+    classical_bound,
+    eigensystem,
+    family_edge_pairs,
+    family_vertex_count,
+    hyper_edge_weight,
+    overlap,
+    projector_sum,
+    vertex_label,
+)
 from kshg._indset import _components, _max_set
+from kshg.bounds import (
+    SPECTRAL_TOLERANCE,
+    CheckResult,
+    Classification,
+    QuantumRange,
+    RealizationReport,
+    ViolationReport,
+)
 from kshg.expansion import _FORBIDDEN, Fragment, _elimination_order, _fix, _gadget, _max_sum
+from kshg.hypergraph import PARALLEL_TOLERANCE
 
 RT2 = 1.0 / math.sqrt(2.0)
 RT3 = 1.0 / math.sqrt(3.0)
@@ -382,3 +410,150 @@ def _aux_index_restrict(
             original_edge_id = h.edge_index[old_pair]
             values.append(a.values[aux_index(g, original_edge_id, vert.kind, vert.level)])
     return Assignment(tuple(values))
+
+
+# The ray layer as it was computed before each overlap, projector sum and
+# spectrum was computed once: every overlap by `overlap`, every weight by
+# `hyper_edge_weight` (cap included), every projector sum by the checked
+# `projector_sum` and the spectrum by `eigensystem`. The library must agree
+# with these bit for bit, errors and warnings included.
+
+
+def _parallel_checked(a: Ray, b: Ray, i: int, j: int, where: str = "") -> float:
+    o = overlap(a, b)
+    if o >= 1.0 - PARALLEL_TOLERANCE:
+        raise ValidationError(f"rays p{i + 1} and p{j + 1} are parallel (overlap {o:.12g}){where}")
+    return o
+
+
+def _build_from_rays_reference(rays: Sequence[Ray], cap: int | None = None) -> tuple[tuple[int, int, int], ...]:
+    """Reference for `build_from_rays`: its (i, j, weight) edges, by one
+    `overlap` and one `hyper_edge_weight` per pair."""
+    rays = tuple(rays)
+    if len(rays) < 2:
+        raise ValidationError(f"need at least 2 rays to build a hyper-graph, got {len(rays)}")
+    edges = []
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            weight = hyper_edge_weight(_parallel_checked(rays[i], rays[j], i, j), cap)
+            if weight is not None:
+                edges.append((i, j, weight))
+    return tuple(edges)
+
+
+def _generate_reference(spec, rays: Sequence[Ray]) -> tuple[tuple[int, int, int], ...]:
+    """Reference for `generate(spec, rays)`: the (i, j, weight) edges in
+    construction order, each weight by `overlap` and `hyper_edge_weight`."""
+    n = family_vertex_count(spec)
+    rays = tuple(rays)
+    if len(rays) != n:
+        raise ValidationError(f"family {spec.family!r} needs {n} rays, got {len(rays)}")
+    return tuple((a, b, hyper_edge_weight(_parallel_checked(rays[a], rays[b], a, b)))
+                 for a, b in family_edge_pairs(spec))
+
+
+def _overlaps_reference(h: HyperGraph) -> tuple[float, ...]:
+    """Reference for `HyperGraph.overlaps`: `overlap` of each canonical edge's rays."""
+    return tuple(overlap(h.rays[e.i], h.rays[e.j]) for e in h.edges)
+
+
+def _quantum_range_reference(h: HyperGraph, underweight: str = "error") -> QuantumRange:
+    """Reference for `quantum_range`: the underweight check by `overlap`, the
+    spectrum by `eigensystem(projector_sum(h.rays))`."""
+    if underweight not in ("error", "warn"):
+        raise ValidationError(f"underweight must be 'error' or 'warn', got {underweight!r}")
+    if h.rays is None:
+        raise ValidationError("quantum range needs a ray bound to every vertex")
+    for e in h.edges:
+        required = hyper_edge_weight(overlap(h.rays[e.i], h.rays[e.j]))
+        if e.weight < required:
+            message = (
+                f"edge (p{e.i + 1}, p{e.j + 1}) has weight {e.weight} but its ray overlap "
+                f"requires at least {required}; the model is unrealizable"
+            )
+            if underweight == "error":
+                raise ValidationError(message)
+            warnings.warn(message, stacklevel=2)
+    eig = eigensystem(projector_sum(h.rays))
+    lam_min, lam_max = eig.eigenvalues[0], eig.eigenvalues[2]
+    weight_term = 2 * h.weight_sum
+    return QuantumRange(weight_term + lam_min, weight_term + lam_max, lam_min, lam_max, weight_term)
+
+
+def _classify_reference(h: HyperGraph, *, underweight: str = "error", max_vertices: int = 64) -> ViolationReport:
+    """Reference for `classify`: the same verdict on `_quantum_range_reference`."""
+    quantum = _quantum_range_reference(h, underweight=underweight)
+    classical = classical_bound(h, max_vertices=max_vertices)
+    u = classical.independence_term
+    if quantum.lambda_min > u + SPECTRAL_TOLERANCE:
+        return ViolationReport(classical, quantum, Classification.STATE_INDEPENDENT, quantum.lambda_min - u)
+    verdict = Classification.STATE_DEPENDENT if quantum.lambda_max > u + SPECTRAL_TOLERANCE \
+        else Classification.NO_VIOLATION
+    return ViolationReport(classical, quantum, verdict, quantum.lambda_max - u)
+
+
+def _verify_realization_reference(g: ExpandedGraph, coords: Sequence[Ray] | Mapping[int, Ray],
+                                  tol: float) -> RealizationReport:
+    """Reference for `verify_realization`: every overlap by `overlap`, every
+    projector sum by the checked `projector_sum`, and each check's label
+    formatted at each new worst deviation."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+    n = len(g.vertices)
+    if isinstance(coords, Mapping):
+        missing = [v for v in range(n) if v not in coords]
+        if missing:
+            raise ValidationError(
+                f"missing coordinates for vertices {[vertex_label(g.vertices[v]) for v in missing]}"
+            )
+        rays = [coords[v] for v in range(n)]
+    else:
+        if len(coords) != n:
+            raise ValidationError(f"expected {n} coordinate rays, got {len(coords)}")
+        rays = list(coords)
+    identity = np.eye(3, dtype=np.complex128)
+    checks = []
+
+    worst, item = 0.0, "-"
+    for i, j in g.sorted_edges:
+        d = overlap(rays[i], rays[j])
+        if d > worst:
+            worst = d
+            item = f"edge ({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
+    checks.append(CheckResult("edge-orthogonality", worst <= tol, worst, item))
+
+    worst, item = 0.0, "-"
+    for pos, triple in enumerate(g.bases):
+        d = 0.0
+        for a in range(3):
+            for b in range(a + 1, 3):
+                d = max(d, overlap(rays[triple[a]], rays[triple[b]]))
+        total = projector_sum(rays[t] for t in triple).matrix
+        d = max(d, float(np.max(np.abs(total - identity))))
+        if d > worst:
+            worst = d
+            item = f"basis {pos}"
+    checks.append(CheckResult("basis-completeness", worst <= tol, worst, item))
+
+    worst, item = 0.0, "-"
+    for frag in g.fragments:
+        i, j = frag.endpoints
+        limit = frag.weight / (frag.weight + 2)
+        excess = max(0.0, overlap(rays[i], rays[j]) - limit)
+        if excess > worst:
+            worst = excess
+            item = f"edge e{frag.edge_id} ({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
+    checks.append(CheckResult("endpoint-overlap", worst <= tol, worst, item))
+
+    worst, item = 0.0, "-"
+    for frag in g.fragments:
+        if frag.weight == 0:
+            continue
+        total = projector_sum(rays[t] for t in frag.aux).matrix
+        d = float(np.max(np.abs(total - 2 * frag.weight * identity)))
+        if d > worst:
+            worst = d
+            item = f"edge e{frag.edge_id}"
+    checks.append(CheckResult("gadget-projector-sum", worst <= tol, worst, item))
+
+    return RealizationReport(tuple(checks))

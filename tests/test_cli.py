@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from _fixtures import clifton_realization
 
-from kshg import FAMILIES, HyperEdge, ValidationError, cli, random_hypergraph
+from kshg import FAMILIES, HyperEdge, ValidationError, cli, expand, random_hypergraph, to_dot
+from kshg.expansion import dot_lines
 from kshg.cli import main, parse_hypergraph, parse_rays, serialize_hypergraph, serialize_rays
 
 RT3 = 1.0 / math.sqrt(3.0)
@@ -238,6 +239,26 @@ class TestPipeline:
         assert content.startswith("graph expansion {")
         assert '[label="P1"]' in content
         assert "// basis 0:" in content
+
+    def test_expand_dot_streams_the_text_of_to_dot(self, capsys, tmp_path):
+        graph = tmp_path / "mixed.hg"
+        graph.write_text("vertices 4\nedge 1 2 0\nedge 1 3 2\nedge 2 4 1\nedge 3 4 3\n")
+        dot = tmp_path / "mixed.dot"
+        code, out, err = run(capsys, "expand", str(graph), "--dot", str(dot))
+        assert (code, err) == (0, "")
+        assert out.endswith(f"dot = {dot}\n")
+        g = expand(parse_hypergraph(graph.read_text()))
+        lines = list(dot_lines(g))
+        assert all(line.endswith("\n") and "\n" not in line[:-1] for line in lines)
+        assert dot.read_bytes() == "".join(lines).encode() == to_dot(g).encode()
+
+    def test_refused_expand_writes_no_dot_file(self, capsys, tmp_path):
+        graph = tmp_path / "edge.hg"
+        graph.write_text("vertices 2\nedge 1 2 166667\n")
+        dot = tmp_path / "edge.dot"
+        assert run(capsys, "expand", str(graph), "--dot", str(dot)) == (
+            2, "", "capacity error: 1000004 vertices exceed the expansion limit of 1000000\n")
+        assert not dot.exists()
 
     def test_check_decomposition(self, capsys):
         code, out, _ = run(capsys, "check", "decomposition", "--trials", "25", "--seed", "5")
@@ -617,6 +638,32 @@ class TestExitCodes:
                 child.kill()
             err = child.stderr.read().decode()
         return code, head, err
+
+    @staticmethod
+    def _subprocess(*argv: str, cwd) -> tuple[int, str, str]:
+        """Exit code, stdout and stderr of `kshg` in a new interpreter, with
+        Python's default warning filters."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-m", "kshg.cli", *argv], capture_output=True, text=True,
+                              cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.parametrize("amplitude, norm, deviation", [("1e308", "inf", "inf"), ("1e-200", "0", "1")])
+    def test_rays_at_extreme_magnitudes(self, tmp_path, amplitude, norm, deviation):
+        # numpy's overflow warning and its source line came before the error line
+        (tmp_path / "g.hg").write_text("vertices 3\nedge 1 2 0\nedge 2 3 5\n")
+        (tmp_path / "r.rays").write_text(
+            f"{amplitude} 0 0 0 0 0\n0 0 {amplitude} 0 0 0\n{amplitude} 0 {amplitude} 0 0 0\n")
+        (tmp_path / "unit.rays").write_text("1 0 0 0 0 0\n0 0 1 0 0 0\n1 0 1 0 0 0\n")
+        code, out, err = self._subprocess("quantum", "g.hg", "--rays", "r.rays", cwd=tmp_path)
+        assert (code, out) == (1, "")
+        assert err == (f"error: line 1: ray norm {norm} deviates from 1 by {deviation} (limit 1e-06); "
+                       "normalize explicitly if intended\n")
+        code, out, err = self._subprocess("quantum", "g.hg", "--rays", "r.rays", "--normalize", cwd=tmp_path)
+        unit = self._subprocess("quantum", "g.hg", "--rays", "unit.rays", "--normalize", cwd=tmp_path)
+        assert (code, out.replace("r.rays", "unit.rays"), err) == unit
+        assert unit[0] == 0 and unit[2] == ""
 
     def test_closed_stdout_is_1_without_traceback(self):
         """The reader goes away after 64 bytes of a 690 KB report."""

@@ -50,6 +50,36 @@ class TestRay:
         with pytest.raises(ValidationError):
             Ray.normalized((0, 0, 0))
 
+    @pytest.mark.parametrize("vector, expected", [
+        ((1e200, 0, 0), (1.0, 0.0, 0.0)),  # the squared norm overflows
+        ((1e-200, 0, 0), (1.0, 0.0, 0.0)),  # it underflows to zero
+        ((1e-170,) * 3, (RT3,) * 3),  # each square underflows to zero
+        ((1e-160, 0, 0), (1.0, 0.0, 0.0)),  # a subnormal square too coarse for 1e-6
+        ((1e308, -1e308j, 1e308), (RT3, -1j * RT3, RT3)),
+        ((5e-324, 0, 0), (1.0, 0.0, 0.0)),
+    ])
+    def test_normalized_accepts_any_finite_nonzero_vector(self, vector, expected):
+        # pytest turns warnings into errors: numpy's overflow warning must not escape
+        r = Ray.normalized(vector)
+        assert np.allclose(r.amplitudes, expected, rtol=0, atol=1e-15)
+        assert abs(np.linalg.norm(r.amplitudes) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("vector", [
+        (0, 0, 0), (math.nan, 0, 0), (math.inf, 0, 0), (1e308, -math.inf, 0), (0, 0, complex(0, math.nan)),
+    ])
+    def test_normalized_still_refuses_zero_and_non_finite(self, vector):
+        with pytest.raises(ValidationError, match="^cannot normalize a zero or non-finite vector$"):
+            Ray.normalized(vector)
+
+    def test_normalized_keeps_the_bits_of_every_vector_accepted_before(self):
+        # The rescaling applies only where dividing by the norm is refused.
+        from kshg.linalg3 import _norm
+
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 1e-150, 1e-100, 1e-30, 3.0, 1e30, 1e100, 1e150):
+            for v in (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))) * scale:
+                assert Ray.normalized(v).amplitudes.tobytes() == Ray(v / _norm(v)).amplitudes.tobytes()
+
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValidationError):
             Ray((1, 0))
