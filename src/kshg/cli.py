@@ -14,6 +14,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -60,8 +61,9 @@ def _number(kind: type) -> Callable[[str], int | float]:
     text is ASCII without `_`, since `int` and `float` also read `_`
     separators and non-ASCII digits, which kshg takes in no number. Every
     number read from a file, an option or the environment goes through
-    `_int` or `_float` below (or bare `int`, on a hyper-graph line already
-    found to be ASCII without `_`); each also serves as an argparse `type=`.
+    `_int` or `_float` below (or bare `int`, on a hyper-graph text or line
+    already found to be ASCII without `_`); each also serves as an argparse
+    `type=`.
     A leading sign stays allowed."""
 
     def read(text: str) -> int | float:
@@ -126,8 +128,41 @@ def serialize_rays(rays: Sequence[Ray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The form `serialize_hypergraph` writes: a `vertices` line, then `edge`
+# lines of unsigned decimal fields without leading zeros, single spaces and
+# `\n` endings. `[0-9]`, not `\d`, which also matches non-ASCII digits.
+_PLAIN_HYPERGRAPH = re.compile(
+    r"vertices [1-9][0-9]*\n(?:edge [1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*)\n)*"
+)
+
+
 def parse_hypergraph(text: str) -> HyperGraph:
-    """Parse the hyper-graph format: 'vertices <k>' then 'edge <i> <j> <n>' (1-based)."""
+    """Parse the hyper-graph format: 'vertices <k>' then 'edge <i> <j> <n>' (1-based).
+
+    A text in the plain form is read in bulk. The pattern admits no index 0,
+    sign or negative weight, and `HyperEdge` and `HyperGraph` refuse an index
+    past k, a self-loop and a duplicate pair, so this route has no rule of
+    its own. Any other text, and a plain text refused on this route, goes to
+    `_walk_hypergraph`, which gives the same graph or the same error.
+    """
+    if _PLAIN_HYPERGRAPH.fullmatch(text):
+        # k, then i j n per edge; the word list is freed once the last is read
+        numbers = map(int, text.replace("edge ", "").split()[1:])
+        try:
+            vertex_count = next(numbers)
+            edges = tuple(
+                HyperEdge(i - 1, j - 1, weight) if i < j else HyperEdge(j - 1, i - 1, weight)
+                for i, j, weight in zip(numbers, numbers, numbers)
+            )
+            return HyperGraph(vertex_count, edges)
+        except ValueError:  # ValidationError included, or a field past int's digit limit
+            pass
+    return _walk_hypergraph(text)
+
+
+def _walk_hypergraph(text: str) -> HyperGraph:
+    """Read any valid hyper-graph text line by line, and word each refusal
+    with the line number of the first faulty line: the grammar's reference."""
     vertex_count: int | None = None
     edges: list[HyperEdge] = []
     seen: set[tuple[int, int]] = set()
@@ -210,7 +245,7 @@ def _emit(items: list[tuple[str, object]], as_json: bool) -> None:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None

@@ -13,6 +13,7 @@ from kshg import (
     AuxVertex,
     CoreVertex,
     ExpandedGraph,
+    HyperEdge,
     HyperGraph,
     Ray,
     ValidationError,
@@ -34,6 +35,7 @@ from kshg.bounds import (
     RealizationReport,
     ViolationReport,
 )
+from kshg.cli import _int
 from kshg.expansion import _FORBIDDEN, Fragment, _elimination_order, _fix, _gadget, _max_sum
 from kshg.hypergraph import PARALLEL_TOLERANCE
 
@@ -557,3 +559,61 @@ def _verify_realization_reference(g: ExpandedGraph, coords: Sequence[Ray] | Mapp
     checks.append(CheckResult("gadget-projector-sum", worst <= tol, worst, item))
 
     return RealizationReport(tuple(checks))
+
+
+# The hyper-graph reader as it was before plain files were read in bulk:
+# every text walked line by line. `parse_hypergraph` must give the same graph
+# or the same error on every text.
+
+
+def _parse_hypergraph_reference(text: str) -> HyperGraph:
+    """Parse the hyper-graph format: 'vertices <k>' then 'edge <i> <j> <n>' (1-based)."""
+    vertex_count: int | None = None
+    edges: list[HyperEdge] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        # one check per line: `_int` on each field only where it can refuse
+        read = int if line.isascii() and "_" not in line else _int
+        if parts[0] == "vertices":
+            if vertex_count is not None:
+                raise ValidationError(f"line {lineno}: duplicate 'vertices' directive")
+            if len(parts) != 2:
+                raise ValidationError(f"line {lineno}: expected 'vertices <k>'")
+            try:
+                vertex_count = read(parts[1])
+            except ValueError:
+                raise ValidationError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
+            if vertex_count < 1:
+                raise ValidationError(f"line {lineno}: vertex count must be positive, got {vertex_count}")
+        elif parts[0] == "edge":
+            if vertex_count is None:
+                raise ValidationError(f"line {lineno}: 'edge' before 'vertices'")
+            if len(parts) != 4:
+                raise ValidationError(f"line {lineno}: expected 'edge <i> <j> <n>'")
+            try:
+                i, j, weight = read(parts[1]), read(parts[2]), read(parts[3])
+            except ValueError:
+                raise ValidationError(f"line {lineno}: edge fields must be integers") from None
+            for v in (i, j):
+                if not 1 <= v <= vertex_count:
+                    raise ValidationError(
+                        f"line {lineno}: vertex index {v} out of range 1..{vertex_count}"
+                    )
+            if i == j:
+                raise ValidationError(f"line {lineno}: self-loop at vertex {i}")
+            if weight < 0:
+                raise ValidationError(f"line {lineno}: negative weight {weight}")
+            a, b = min(i, j) - 1, max(i, j) - 1
+            if (a, b) in seen:
+                raise ValidationError(f"line {lineno}: duplicate edge ({min(i, j)}, {max(i, j)})")
+            seen.add((a, b))
+            edges.append(HyperEdge(a, b, weight))
+        else:
+            raise ValidationError(f"line {lineno}: unknown directive {parts[0]!r}")
+    if vertex_count is None:
+        raise ValidationError("missing 'vertices' directive")
+    return HyperGraph(vertex_count, tuple(edges))

@@ -1,5 +1,6 @@
 """CLI tests: file formats, subcommands, exit codes, determinism."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -217,6 +218,25 @@ class TestPipeline:
         assert code == 0
         assert "edges = 1" in out
         assert parse_hypergraph(out_file.read_text()).edges == (HyperEdge(0, 1, 2),)
+
+    @pytest.mark.parametrize("flags", ((), ("--json",)))
+    def test_byte_order_mark_is_read(self, capsys, tmp_path, flags):
+        # both formats are UTF-8 text: a file that starts with a BOM reads like one without
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.mkdir(), bom.mkdir()
+        run(capsys, "gen", "wheel7", "--rays-out", str(plain / "w7.rays"), "-o", str(plain / "w7.hg"))
+        for name in ("w7.hg", "w7.rays"):
+            (bom / name).write_bytes(codecs.BOM_UTF8 + (plain / name).read_bytes())
+        reports = []
+        for folder in (plain, bom):
+            graph, rays = str(folder / "w7.hg"), str(folder / "w7.rays")
+            runs = (run(capsys, "bound", graph, *flags),
+                    run(capsys, "quantum", graph, "--rays", rays, *flags),
+                    run(capsys, "weights", rays, "-o", str(folder / "back.hg"), *flags))
+            reports.append([(code, out.replace(str(folder), "DIR"), err) for code, out, err in runs])
+        assert reports[0] == reports[1]
+        assert [(code, err) for code, _, err in reports[1]] == [(0, "")] * 3
+        assert (bom / "back.hg").read_bytes() == (plain / "back.hg").read_bytes()
 
     def test_brute_and_mis_agree(self, capsys, tmp_path):
         graph = tmp_path / "c3.hg"
