@@ -10,7 +10,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ValidationError
-from .expansion import Assignment, ExpandedGraph, _gadget, expand, vertex_label
+from .expansion import Assignment, ExpandedGraph, evaluate, expand, vertex_label
 from .hypergraph import (
     DEFAULT_MIS_LIMIT,
     FamilySpec,
@@ -87,21 +87,17 @@ def family_bound(spec: FamilySpec) -> ClassicalBound:
 
 
 def hypergraph_observable_value(h: HyperGraph, g: ExpandedGraph, a: Assignment) -> int:
-    """Sum of core values plus the sum of all edge observables, exactly."""
+    """Sum of core values plus the sum of all edge observables, exactly.
+
+    Each edge observable is its gadget's auxiliary values minus its edge
+    products, and the gadgets' auxiliary vertices are all the non-core
+    vertices of the expansion `g` of `h`, so this is `evaluate(g, a)`.
+    """
     if len(a) != g.vertex_count:
         raise ValidationError(
             f"assignment covers {len(a)} vertices but the expansion has {g.vertex_count}"
         )
-    values = a.values
-    total = sum(values[: h.vertex_count])
-    for frag in g.fragments:
-        # Edge observable: auxiliary values minus the gadget's edge products.
-        local_edges, _ = _gadget(frag.weight)
-        i, j = frag.endpoints
-        aux = values[frag.aux.start : frag.aux.stop]
-        local = (values[i], values[j], *aux)
-        total += sum(aux) - sum(local[s] * local[t] for s, t in local_edges)
-    return total
+    return evaluate(g, a)
 
 
 def check_subgraph_decomposition(h: HyperGraph, a: Assignment) -> DecompositionCheck:
@@ -124,30 +120,34 @@ def check_subgraph_decomposition(h: HyperGraph, a: Assignment) -> DecompositionC
     for removed in range(h.vertex_count):
         sub_h, old_of_new = remove_vertex(h, removed)
         sub_g = expand(sub_h)
-        sub_a = _restrict_assignment(h, g, a, sub_g, old_of_new)
+        sub_a = _restrict_assignment(g, a, sub_g, old_of_new, removed)
         rhs += hypergraph_observable_value(sub_h, sub_g, sub_a)
     return DecompositionCheck(lhs == rhs, lhs, rhs)
 
 
 def _restrict_assignment(
-    h: HyperGraph,
     g: ExpandedGraph,
     a: Assignment,
     sub_g: ExpandedGraph,
     old_of_new: tuple[int, ...],
+    removed: int,
 ) -> Assignment:
-    """Carry an expanded assignment over to the expansion of a removal subgraph.
+    """Carry an expanded assignment over to the expansion of the subgraph
+    without vertex `removed`.
 
-    Cores map through `old_of_new`; each surviving fragment takes its
-    auxiliary values by position from the original fragment of the same edge.
+    Cores map through `old_of_new`. `remove_vertex` relabels monotonically
+    and `HyperGraph` sorts its edges canonically, so the surviving edges keep
+    their relative order: the fragments of `sub_g` pair, in order, with those
+    of `g` that avoid `removed`, and each takes its partner's auxiliary
+    values by position.
     """
     values = [0] * sub_g.vertex_count
     for new, old in enumerate(old_of_new):
         values[new] = a.values[old]
-    for frag in sub_g.fragments:
-        i, j = frag.endpoints
-        aux, original = frag.aux, g.fragments[h.edge_index[(old_of_new[i], old_of_new[j])]].aux
-        values[aux.start : aux.stop] = a.values[original.start : original.stop]
+    kept = (frag for frag in g.fragments if removed not in frag.endpoints)
+    for frag, original in zip(sub_g.fragments, kept):
+        aux, source = frag.aux, original.aux
+        values[aux.start : aux.stop] = a.values[source.start : source.stop]
     return Assignment(tuple(values))
 
 

@@ -61,9 +61,8 @@ def _number(kind: type) -> Callable[[str], int | float]:
     text is ASCII without `_`, since `int` and `float` also read `_`
     separators and non-ASCII digits, which kshg takes in no number. Every
     number read from a file, an option or the environment goes through
-    `_int` or `_float` below (or bare `int`, on a hyper-graph text or line
-    already found to be ASCII without `_`); each also serves as an argparse
-    `type=`.
+    `_int` or `_float` below (or bare `int`, on a hyper-graph text that
+    `_PLAIN_HYPERGRAPH` matched); each also serves as an argparse `type=`.
     A leading sign stays allowed."""
 
     def read(text: str) -> int | float:
@@ -171,15 +170,13 @@ def _walk_hypergraph(text: str) -> HyperGraph:
         if not line:
             continue
         parts = line.split()
-        # one check per line: `_int` on each field only where it can refuse
-        read = int if line.isascii() and "_" not in line else _int
         if parts[0] == "vertices":
             if vertex_count is not None:
                 raise ValidationError(f"line {lineno}: duplicate 'vertices' directive")
             if len(parts) != 2:
                 raise ValidationError(f"line {lineno}: expected 'vertices <k>'")
             try:
-                vertex_count = read(parts[1])
+                vertex_count = _int(parts[1])
             except ValueError:
                 raise ValidationError(f"line {lineno}: vertex count {parts[1]!r} is not an integer") from None
             if vertex_count < 1:
@@ -190,7 +187,7 @@ def _walk_hypergraph(text: str) -> HyperGraph:
             if len(parts) != 4:
                 raise ValidationError(f"line {lineno}: expected 'edge <i> <j> <n>'")
             try:
-                i, j, weight = read(parts[1]), read(parts[2]), read(parts[3])
+                i, j, weight = _int(parts[1]), _int(parts[2]), _int(parts[3])
             except ValueError:
                 raise ValidationError(f"line {lineno}: edge fields must be integers") from None
             for v in (i, j):

@@ -45,7 +45,7 @@ CORE_MAX_WIDTH = 16
 MAX_CONDITIONED_SUBPROBLEMS = 16
 # Most expanded vertices that `_fill` lays out: one weight-166,666 edge (999,998
 # vertices) fills in about 1.5 s with a 350 MB tracemalloc peak, and `kshg demo`
-# on it takes about 11 s and 760 MB max RSS (2-core Xeon, Python 3.11).
+# on it takes about 11 s and 745 MB max RSS (2-core Xeon, Python 3.11).
 EXPAND_MAX_VERTICES = 1_000_000
 # Gadget-table value of a core-state pair that no independent set allows.
 _FORBIDDEN = float("-inf")
@@ -122,10 +122,12 @@ class ExpandedGraph:
     `basis_count`, in O(1) per edge at any weight: `vertices`, `edges` and
     `bases` are filled together, by `_fill` through `__getattr__`, the
     first time any of them is read, and a graph of more than
-    `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle`, the
-    decomposition check and the counts read only the fragments, so they
-    never fill a graph from `expand`. On any other graph the counts are
-    the lengths of the three fields.
+    `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle`,
+    `evaluate` (and so the decomposition check) and the counts read only
+    the fragments, so they never fill a graph from `expand`. On any other
+    graph the counts are the lengths of the three fields. `neighbors` is
+    built from `edges`; `sorted_edges` is only for readers whose output
+    follows the edge order.
     """
 
     vertices: tuple[ExpandedVertex, ...]
@@ -176,7 +178,7 @@ class ExpandedGraph:
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, j in self.sorted_edges:
+        for i, j in self.edges:
             out[i].append(j)
             out[j].append(i)
         return tuple(tuple(sorted(nb)) for nb in out)
@@ -259,8 +261,8 @@ def _place(weight: int, i: int, j: int, first: int,
         bases += [(p_low, ap, bp), (q_low, am, bm)]
 
 
-# Local views kept for reuse: `hypergraph_observable_value` reads one per
-# fragment on every call. A view holds about 1 KB per unit of weight.
+# Local views kept for reuse: `evaluate` reads one per fragment on every call.
+# A view holds about 1 KB per unit of weight.
 @lru_cache(maxsize=16)
 def _gadget(weight: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int], ...]]:
     """Local view of a weight-n gadget, its edges and bases, placed by
@@ -366,15 +368,29 @@ def expand(h: HyperGraph) -> ExpandedGraph:
 
 
 def evaluate(g: ExpandedGraph, a: Assignment) -> int:
-    """Sum of vertex values minus the sum of edge products, as an exact integer."""
+    """Sum of vertex values minus the sum of edge products, as an exact integer.
+
+    On a graph from `expand` or `expand_hyper_edge`, whose fragments
+    describe it, each fragment's products are summed over the cached local
+    view of `_gadget`, valued (values[i], values[j], *values[aux]) for its
+    cores i and j, so such a graph is never filled. Any other graph is
+    valued by its own edges; an exact integer sum needs no edge order.
+    """
     if len(a) != g.vertex_count:
         raise ValidationError(
             f"assignment covers {len(a)} vertices but the graph has {g.vertex_count}"
         )
     values = a.values
     total = sum(values)
-    for i, j in g.sorted_edges:
-        total -= values[i] * values[j]
+    if g._assembled_cores is None:
+        for i, j in g.edges:
+            total -= values[i] * values[j]
+        return total
+    for frag in g.fragments:
+        local_edges, _ = _gadget(frag.weight)
+        i, j = frag.endpoints
+        local = (values[i], values[j], *values[frag.aux.start : frag.aux.stop])
+        total -= sum(local[s] * local[t] for s, t in local_edges)
     return total
 
 
@@ -795,7 +811,7 @@ def mis_oracle(g: ExpandedGraph, *, max_vertices: int = DEFAULT_MIS_LIMIT) -> in
     check_search_capacity(g.vertex_count, max_vertices)
     k = g._assembled_cores
     if k is None:
-        gain, factors = [1] * g.vertex_count, [(pair, _gadget_table(0)) for pair in g.sorted_edges]
+        gain, factors = [1] * g.vertex_count, [(pair, _gadget_table(0)) for pair in g.edges]
     else:
         gain, factors = [1] * k, [(f.endpoints, _gadget_table(f.weight)) for f in g.fragments]
     return max(const + _max_sum(part_gain, part_factors, plan)

@@ -119,11 +119,6 @@ class HyperGraph:
     def weight_sum(self) -> int:
         return sum(e.weight for e in self.edges)
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Position of each (i, j) pair in the canonical edge order."""
-        return {(e.i, e.j): pos for pos, e in enumerate(self.edges)}
-
 
 @dataclass(frozen=True)
 class FamilySpec:

@@ -402,14 +402,14 @@ def _aux_index_restrict(
     finding each auxiliary vertex of the original by its role through
     `aux_index`.
     """
+    position = {(e.i, e.j): pos for pos, e in enumerate(h.edges)}
     values = []
     for vert in sub_g.vertices:
         if isinstance(vert, CoreVertex):
             values.append(a.values[old_of_new[vert.index]])
         else:
             sub_edge = sub_h.edges[vert.edge]
-            old_pair = (old_of_new[sub_edge.i], old_of_new[sub_edge.j])
-            original_edge_id = h.edge_index[old_pair]
+            original_edge_id = position[(old_of_new[sub_edge.i], old_of_new[sub_edge.j])]
             values.append(a.values[aux_index(g, original_edge_id, vert.kind, vert.level)])
     return Assignment(tuple(values))
 

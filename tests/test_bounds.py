@@ -141,6 +141,12 @@ class TestObservableValue:
             a = Assignment(tuple(rng.randint(0, 1) for _ in g.vertices))
             assert hypergraph_observable_value(h, g, a) == evaluate(g, a)
 
+    def test_size_mismatch(self):
+        h = generate(FamilySpec("linear", k=2, weights=1))
+        message = r"^assignment covers 2 vertices but the expansion has 8$"
+        with pytest.raises(ValidationError, match=message):
+            hypergraph_observable_value(h, expand(h), Assignment((0, 1)))
+
 
 class TestSubgraphDecomposition:
     def test_all_zero_assignment(self):
@@ -200,10 +206,22 @@ class TestRestrictAssignment:
             sub_h, old_of_new = remove_vertex(h, removed)
             sub_g = expand(sub_h)
             expected = _aux_index_restrict(h, g, a, sub_h, sub_g, old_of_new)
-            assert _restrict_assignment(h, g, a, sub_g, old_of_new) == expected
+            assert _restrict_assignment(g, a, sub_g, old_of_new, removed) == expected
         result = check_subgraph_decomposition(h, a)
         assert result.equal
         assert result.lhs == (h.vertex_count - 2) * evaluate(g, a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=assigned_hypergraphs())
+    def test_surviving_edges_keep_their_order(self, case):
+        """What `_restrict_assignment` relies on to pair fragments by position:
+        the subgraph's edges are the original edges that avoid the removed
+        vertex, relabelled, in the same order."""
+        h, _ = case
+        for removed in range(h.vertex_count):
+            sub_h, old_of_new = remove_vertex(h, removed)
+            carried = [(old_of_new[e.i], old_of_new[e.j], e.weight) for e in sub_h.edges]
+            assert carried == [(e.i, e.j, e.weight) for e in h.edges if removed not in (e.i, e.j)]
 
 
 class TestQuantumRange:

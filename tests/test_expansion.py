@@ -39,6 +39,7 @@ from kshg import (
     expand_hyper_edge,
     family_bound,
     generate,
+    hypergraph_observable_value,
     ks_propagate,
     max_edge_observable,
     mis_oracle,
@@ -244,8 +245,10 @@ class TestEvaluate:
 
     def test_size_mismatch(self):
         g = expand_hyper_edge(1)
-        with pytest.raises(ValidationError):
-            evaluate(g, Assignment((0, 1)))
+        message = r"^assignment covers 2 vertices but the graph has 8$"
+        for graph in (g, dataclasses.replace(g)):
+            with pytest.raises(ValidationError, match=message):
+                evaluate(graph, Assignment((0, 1)))
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValidationError):
@@ -757,9 +760,9 @@ class TestMisOracle:
 
 
 @st.composite
-def weighted_hypergraphs(draw):
-    """2-12 cores, each pair joined or not, weights 0-3."""
-    k = draw(st.integers(2, 12))
+def weighted_hypergraphs(draw, max_cores=12):
+    """2-`max_cores` cores, each pair joined or not, weights 0-3."""
+    k = draw(st.integers(2, max_cores))
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     weights = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
@@ -1056,6 +1059,58 @@ class TestLazyGraph:
         assert not _unfilled(g) and copied._assembled_cores is None
         assert (copied.vertices, copied.edges, copied.bases, copied.fragments) == (
             g.vertices, g.edges, g.bases, g.fragments)
+
+
+def _neighbors_reference(g: ExpandedGraph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours from the sorted edges, which list them ascending."""
+    out: list[list[int]] = [[] for _ in g.vertices]
+    for i, j in sorted(g.edges):
+        out[i].append(j)
+        out[j].append(i)
+    return tuple(map(tuple, out))
+
+
+class TestOrderFreeReads:
+    """`evaluate` values a graph from `expand` by its fragments and fills
+    nothing; `neighbors`, `evaluate` and `mis_oracle` never sort the edges."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs(max_cores=8), data=st.data())
+    def test_evaluate_reads_only_the_fragments(self, h, data):
+        g = expand(h)
+        bits = data.draw(st.integers(0, (1 << g.vertex_count) - 1))
+        a = Assignment(tuple((bits >> v) & 1 for v in range(g.vertex_count)))
+        value = evaluate(g, a)
+        assert hypergraph_observable_value(h, g, a) == value
+        assert _unfilled(g) and "sorted_edges" not in vars(g)
+        assert evaluate(dataclasses.replace(g), a) == value
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=weighted_hypergraphs(max_cores=8))
+    def test_neighbors_of_expansions(self, h):
+        g = expand(h)
+        assert g.neighbors == _neighbors_reference(g)
+        assert "sorted_edges" not in vars(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=shuffled_edge_expansions())
+    def test_neighbors_of_hand_built_graphs(self, g):
+        assert g.neighbors == _neighbors_reference(g)
+        assert "sorted_edges" not in vars(g)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_propagation_sorts_nothing(self, n):
+        g = expand_hyper_edge(n)
+        assert ks_propagate(g, {0: 1, 1: 1}).contradiction
+        assert "sorted_edges" not in vars(g)
+
+    def test_hand_built_graphs_sort_nothing(self):
+        spec = FamilySpec("cyclic", k=5, weights=(0, 1, 0, 2, 0))
+        g = dataclasses.replace(expand(generate(spec)))
+        a = Assignment(tuple(v % 3 == 0 for v in range(g.vertex_count)))
+        assert evaluate(g, a) == sum(a.values) - sum(a.values[i] * a.values[j] for i, j in g.edges)
+        assert mis_oracle(g, max_vertices=g.vertex_count) == family_bound(spec).total
+        assert "sorted_edges" not in vars(g)
 
 
 class TestHeavyEdges:
