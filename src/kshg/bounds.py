@@ -7,7 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 from .expansion import Assignment, ExpandedGraph, evaluate, expand, vertex_label
@@ -229,6 +229,21 @@ class RealizationReport:
         return all(c.passed for c in self.checks)
 
 
+def _worst_deviation(
+    name: str, deviations: Iterable[tuple[Any, float]], label: Callable[[Any], str], tol: float
+) -> CheckResult:
+    """One check's result from its (place, deviation) pairs, in the check's
+    order: the largest deviation, at the first place that reaches it, which
+    alone is labelled. A place deviates when its deviation is above 0; when
+    none does (or there is no place) the result is 0.0 at "-". The check
+    passes when the worst deviation is at most `tol`."""
+    worst, at = 0.0, None
+    for place, d in deviations:
+        if d > worst:
+            worst, at = d, place
+    return CheckResult(name, worst <= tol, worst, "-" if at is None else label(at))
+
+
 def verify_realization(
     g: ExpandedGraph,
     coords: Sequence[Ray] | Mapping[int, Ray],
@@ -240,7 +255,10 @@ def verify_realization(
     orthonormal and complete (projector sum = identity within tol); (c) each
     gadget's endpoint overlap fits its weight, overlap <= n/(n+2) + tol;
     (d) each gadget's auxiliary projectors sum to 2n times the identity
-    within tol. Each check reports its worst deviation and where it occurs.
+    within tol. Each check lists its deviations in its own order (sorted
+    edges, bases, fragments, fragments of weight at least 1) and one scan,
+    `_worst_deviation`, reports the worst and the first place that reaches
+    it, or 0.0 at "-" when nothing deviates.
     """
     import numpy as np
 
@@ -269,54 +287,42 @@ def verify_realization(
     def pair_label(i: int, j: int) -> str:
         return f"({vertex_label(g.vertices[i])}, {vertex_label(g.vertices[j])})"
 
-    # Each check keeps the first place of its worst deviation and labels it at the end.
-    checks = []
+    def edge_overlaps():
+        for i, j in g.sorted_edges:
+            yield (i, j), float(abs(vdot(vectors[i], vectors[j])))
 
-    worst, at = 0.0, None
-    for i, j in g.sorted_edges:
-        d = float(abs(vdot(vectors[i], vectors[j])))
-        if d > worst:
-            worst, at = d, (i, j)
-    item = "-" if at is None else f"edge {pair_label(*at)}"
-    checks.append(CheckResult("edge-orthogonality", worst <= tol, worst, item))
+    def basis_deviations():
+        for pos, (a, b, c) in enumerate(g.bases):
+            va, vb, vc = vectors[a], vectors[b], vectors[c]
+            yield pos, max(
+                0.0,
+                float(abs(vdot(va, vb))),
+                float(abs(vdot(va, vc))),
+                float(abs(vdot(vb, vc))),
+                float(np.abs(_projector_sum([va, vb, vc]) - identity).max()),
+            )
 
-    worst, at = 0.0, None
-    for pos, (a, b, c) in enumerate(g.bases):
-        va, vb, vc = vectors[a], vectors[b], vectors[c]
-        d = max(
-            0.0,
-            float(abs(vdot(va, vb))),
-            float(abs(vdot(va, vc))),
-            float(abs(vdot(vb, vc))),
-            float(np.abs(_projector_sum([va, vb, vc]) - identity).max()),
-        )
-        if d > worst:
-            worst, at = d, pos
-    item = "-" if at is None else f"basis {at}"
-    checks.append(CheckResult("basis-completeness", worst <= tol, worst, item))
+    def endpoint_excesses():
+        for frag in g.fragments:
+            i, j = frag.endpoints
+            limit = frag.weight / (frag.weight + 2)
+            yield frag, float(abs(vdot(vectors[i], vectors[j]))) - limit
 
-    worst, at = 0.0, None
-    for frag in g.fragments:
-        i, j = frag.endpoints
-        limit = frag.weight / (frag.weight + 2)
-        excess = max(0.0, float(abs(vdot(vectors[i], vectors[j]))) - limit)
-        if excess > worst:
-            worst, at = excess, frag
-    item = "-" if at is None else f"edge e{at.edge_id} {pair_label(*at.endpoints)}"
-    checks.append(CheckResult("endpoint-overlap", worst <= tol, worst, item))
+    def gadget_deviations():
+        for frag in g.fragments:
+            if frag.weight == 0:
+                continue  # no auxiliary vertices: an empty sum deviates by 0
+            total = _projector_sum([vectors[t] for t in frag.aux])
+            yield frag, float(np.abs(total - 2 * frag.weight * identity).max())
 
-    worst, at = 0.0, None
-    for frag in g.fragments:
-        if frag.weight == 0:
-            continue  # no auxiliary vertices: an empty sum deviates by 0
-        total = _projector_sum([vectors[t] for t in frag.aux])
-        d = float(np.abs(total - 2 * frag.weight * identity).max())
-        if d > worst:
-            worst, at = d, frag
-    item = "-" if at is None else f"edge e{at.edge_id}"
-    checks.append(CheckResult("gadget-projector-sum", worst <= tol, worst, item))
-
-    return RealizationReport(tuple(checks))
+    checks = (
+        _worst_deviation("edge-orthogonality", edge_overlaps(), lambda at: f"edge {pair_label(*at)}", tol),
+        _worst_deviation("basis-completeness", basis_deviations(), lambda at: f"basis {at}", tol),
+        _worst_deviation("endpoint-overlap", endpoint_excesses(),
+                         lambda at: f"edge e{at.edge_id} {pair_label(*at.endpoints)}", tol),
+        _worst_deviation("gadget-projector-sum", gadget_deviations(), lambda at: f"edge e{at.edge_id}", tol),
+    )
+    return RealizationReport(checks)
 
 
 def tetrahedron_rays() -> tuple[Ray, Ray, Ray, Ray]:

@@ -559,9 +559,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("tol", args.tol),
     ]
     for check in report.checks:
-        items.append((check.name.replace("-", "_"), "pass" if check.passed else "fail"))
-        items.append((check.name.replace("-", "_") + "_worst", check.worst_deviation))
-        items.append((check.name.replace("-", "_") + "_at", check.worst_item))
+        key = check.name.replace("-", "_")
+        items.append((key, "pass" if check.passed else "fail"))
+        items.append((f"{key}_worst", check.worst_deviation))
+        items.append((f"{key}_at", check.worst_item))
     items.append(("overall", "pass" if report.passed else "fail"))
     _emit(items, args.json)
     return 0 if report.passed else 1

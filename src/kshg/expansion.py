@@ -123,19 +123,20 @@ class ExpandedGraph:
     `bases` are filled together, by `_fill` through `__getattr__`, the
     first time any of them is read, and a graph of more than
     `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle`,
-    `evaluate` (and so the decomposition check) and the counts read only
-    the fragments, so they never fill a graph from `expand`. On any other
-    graph the counts are the lengths of the three fields. `neighbors` is
-    built from `edges`; `sorted_edges` is only for readers whose output
-    follows the edge order.
+    `evaluate` (and so the decomposition check), `evaluate_edge_observable`
+    and the counts read only the fragments and the core count, so they
+    never fill a graph from `expand`. On any other graph the counts are the
+    lengths of the three fields. `neighbors` is built from `edges`;
+    `sorted_edges` is only for readers whose output follows the edge order.
     """
 
     vertices: tuple[ExpandedVertex, ...]
     edges: frozenset[tuple[int, int]]
     bases: tuple[tuple[int, int, int], ...]
     fragments: tuple[Fragment, ...] = ()
-    # Core count of a graph from `_assemble`, whose fragments describe it;
-    # None for any other graph, which `mis_oracle` solves over every vertex.
+    # Core count of a graph from `_assemble`, whose fragments describe it and
+    # whose cores are its first vertices; None for any other graph, which
+    # `mis_oracle` solves over every vertex.
     _assembled_cores: ClassVar[int | None] = None
 
     def __post_init__(self) -> None:
@@ -194,10 +195,6 @@ class ExpandedGraph:
             for v in triple:
                 out[v].append(pos)
         return tuple(tuple(b) for b in out)
-
-    @cached_property
-    def core_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.vertices) if isinstance(v, CoreVertex))
 
 
 @dataclass(frozen=True)
@@ -394,9 +391,14 @@ def evaluate(g: ExpandedGraph, a: Assignment) -> int:
     return total
 
 
-def _edge_cores(fragment: ExpandedGraph) -> tuple[int, ...]:
-    """The two cores of a single-edge expansion."""
-    cores = fragment.core_indices
+def _edge_cores(fragment: ExpandedGraph) -> Sequence[int]:
+    """The two cores of a single-edge expansion. A graph from `_assemble`
+    numbers its cores first, so they are read from its core count and the
+    graph is not filled; any other graph is scanned for its `CoreVertex`es."""
+    if fragment._assembled_cores is not None:
+        cores: Sequence[int] = range(fragment._assembled_cores)
+    else:
+        cores = [i for i, v in enumerate(fragment.vertices) if isinstance(v, CoreVertex)]
     if len(cores) != 2:
         raise ValidationError(
             f"edge observable needs a single-edge expansion with 2 cores, found {len(cores)}"
@@ -405,7 +407,12 @@ def _edge_cores(fragment: ExpandedGraph) -> tuple[int, ...]:
 
 
 def evaluate_edge_observable(fragment: ExpandedGraph, a: Assignment) -> int:
-    """`evaluate` minus the two endpoint values, on a single-edge expansion."""
+    """`evaluate` minus the two endpoint values, on a single-edge expansion.
+
+    On a graph from `expand` or `expand_hyper_edge` the cores come from its
+    core count, so nothing is filled: at any size it answers or refuses as
+    `evaluate` does, once the graph has exactly 2 cores.
+    """
     p, q = _edge_cores(fragment)
     return evaluate(fragment, a) - a.values[p] - a.values[q]
 

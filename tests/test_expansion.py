@@ -54,7 +54,7 @@ from kshg import _indset, bounds, expansion
 def enumerate_max(g: ExpandedGraph, subtract_cores: bool) -> int:
     """Oracle: direct maximum over all 2^|V| assignments via itertools."""
     n = len(g.vertices)
-    cores = g.core_indices
+    cores = g.fragments[0].endpoints
     best = None
     for bits in product((0, 1), repeat=n):
         a = Assignment(bits)
@@ -282,7 +282,9 @@ class TestEvaluate:
 @st.composite
 def shuffled_edge_expansions(draw):
     """A single-edge expansion of weight 0-3 with its vertices in a random
-    order, so the cores may sit anywhere, and with random extra edges."""
+    order, so the cores may sit anywhere, and with random extra edges, drawn
+    with its two cores: the fragment's endpoints carried through the
+    permutation."""
     g = expand_hyper_edge(draw(st.integers(0, 3)))
     n = len(g.vertices)
     perm = draw(st.permutations(range(n)))
@@ -291,7 +293,8 @@ def shuffled_edge_expansions(draw):
     for old, new in enumerate(perm):
         vertices[new] = g.vertices[old]
     edges = {tuple(sorted((perm[i], perm[j]))) for i, j in g.edges} | {tuple(sorted(pair)) for pair in extra}
-    return ExpandedGraph(tuple(vertices), frozenset(edges), ())
+    cores = tuple(perm[c] for c in g.fragments[0].endpoints)
+    return ExpandedGraph(tuple(vertices), frozenset(edges), ()), cores
 
 
 class TestEdgeObservable:
@@ -316,9 +319,9 @@ class TestEdgeObservable:
     # The reference walks all n vertices with the cores penalized; the
     # observable walks only the others.
     @settings(max_examples=30, deadline=None)
-    @given(g=shuffled_edge_expansions())
-    def test_matches_gray_walk_with_penalized_cores(self, g):
-        p, q = g.core_indices
+    @given(case=shuffled_edge_expansions())
+    def test_matches_gray_walk_with_penalized_cores(self, case):
+        g, (p, q) = case
         assert max_edge_observable(g) == _gray_walk_max(len(g.vertices), g.adjacency_masks, (1 << p) | (1 << q))
 
     def test_requires_two_cores(self):
@@ -326,6 +329,35 @@ class TestEdgeObservable:
         g = expand(h)
         with pytest.raises(ValidationError, match="2 cores"):
             evaluate_edge_observable(g, Assignment((0,) * len(g.vertices)))
+
+    # The cores of a graph from `expand_hyper_edge` or `expand` come from its
+    # core count, so neither reader fills it.
+    @pytest.mark.parametrize("n", range(0, 5))
+    def test_observable_fills_nothing(self, n):
+        g = expand_hyper_edge(n)
+        rng = random.Random(n)
+        for _ in range(20):
+            a = Assignment(tuple(rng.randint(0, 1) for _ in range(g.vertex_count)))
+            assert evaluate_edge_observable(g, a) == evaluate(g, a) - a.values[0] - a.values[1]
+        assert _unfilled(g)
+
+    def test_three_cores_refused_before_any_fill(self):
+        g = expand(HyperGraph(3, (HyperEdge(0, 1, 1),)))
+        message = "^edge observable needs a single-edge expansion with 2 cores, found 3$"
+        with pytest.raises(ValidationError, match=message):
+            max_edge_observable(g)
+        with pytest.raises(ValidationError, match=message):
+            evaluate_edge_observable(g, Assignment((0,) * g.vertex_count))
+        assert _unfilled(g)
+
+    def test_past_the_expansion_limit_refused_as_evaluate_refuses(self):
+        g = expand_hyper_edge(10**18)
+        message = f"^assignment covers 0 vertices but the graph has {g.vertex_count}$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate(g, Assignment(()))
+        with pytest.raises(ValidationError, match=message):
+            evaluate_edge_observable(g, Assignment(()))
+        assert _unfilled(g)
 
 
 class TestBruteForceMax:
@@ -1093,8 +1125,9 @@ class TestOrderFreeReads:
         assert "sorted_edges" not in vars(g)
 
     @settings(max_examples=50, deadline=None)
-    @given(g=shuffled_edge_expansions())
-    def test_neighbors_of_hand_built_graphs(self, g):
+    @given(case=shuffled_edge_expansions())
+    def test_neighbors_of_hand_built_graphs(self, case):
+        g, _ = case
         assert g.neighbors == _neighbors_reference(g)
         assert "sorted_edges" not in vars(g)
 

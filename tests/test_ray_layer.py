@@ -31,6 +31,8 @@ from _fixtures import (
 )
 
 from kshg import (
+    CoreVertex,
+    ExpandedGraph,
     FamilySpec,
     HyperEdge,
     HyperGraph,
@@ -284,6 +286,48 @@ class TestVerifyRealization:
         for coords, tol in ((rays, -1.0), (rays, float("nan")), (rays[:5], 1e-9), (dict(enumerate(rays[:7])), 1e-9)):
             assert outcome(verify_realization, g, coords, tol) \
                 == outcome(_verify_realization_reference, g, coords, tol)
+
+
+class TestVerifyScanEdges:
+    """The cases at the edges of the one worst-deviation scan: no place, no
+    deviating place, an exact tie, and a refusal before any scan."""
+
+    @staticmethod
+    def same_as_reference(g, coords, tol):
+        got = outcome(verify_realization, g, coords, tol)
+        want = outcome(_verify_realization_reference, g, coords, tol)
+        assert got == want and repr(got) == repr(want)
+        return got
+
+    @pytest.mark.parametrize("h", [
+        HyperGraph(1, ()),
+        HyperGraph(3, (HyperEdge(0, 1, 0), HyperEdge(0, 2, 0), HyperEdge(1, 2, 0))),
+    ], ids=["one-vertex", "all-weight-0"])
+    def test_nothing_deviates(self, h):
+        g = expand(h)
+        basis = [Ray((1, 0, 0)), Ray((0, 1, 0)), Ray((0, 0, 1))]
+        kind, report, _ = self.same_as_reference(g, basis[: g.vertex_count], 0.0)
+        assert kind == "ok" and report.passed
+        assert [(c.worst_deviation, c.worst_item) for c in report.checks] == [(0.0, "-")] * 4
+
+    def test_exact_tie_reports_the_lower_edge(self):
+        # P3 lies halfway between P2 and P4, so both of its edges overlap by
+        # exactly the same 1/sqrt(2); the set of edges iterates (2, 3) first.
+        g = ExpandedGraph(tuple(CoreVertex(i) for i in range(4)), frozenset({(1, 2), (2, 3)}), ())
+        rays = [Ray((0, 1, 0)), Ray((1, 0, 0)), Ray.normalized((1, 0, 1)), Ray((0, 0, 1))]
+        assert abs(np.vdot(rays[1].amplitudes, rays[2].amplitudes)) \
+            == abs(np.vdot(rays[2].amplitudes, rays[3].amplitudes)) > 0
+        for tol in (0.0, 1.0):
+            kind, report, _ = self.same_as_reference(g, rays, tol)
+            edge = report.checks[0]
+            assert (edge.name, edge.passed, edge.worst_item) == ("edge-orthogonality", tol == 1.0, "edge (P2, P3)")
+
+    def test_missing_vertex_keeps_its_message(self):
+        g = expand_hyper_edge(1)
+        coords = dict(enumerate(clifton_realization()))
+        del coords[3]
+        assert self.same_as_reference(g, coords, 1e-9) \
+            == ("error", ValidationError, "missing coordinates for vertices ['e0:q0']")
 
 
 class TestInternalProjectorSum:
