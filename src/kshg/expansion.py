@@ -29,10 +29,10 @@ DEFAULT_BIT_LIMIT = 30
 # Hard ceiling on any bit limit: `_block_max` holds adjacency masks in 64-bit words.
 ENUM_MAX_BITS = 62
 # Largest score matrix of the exhaustive enumeration, in float32 entries
-# (256 KB), and a power of two, so that every block of a slab is whole. Larger
-# blocks are slower: the product is bound by call cost and the L2 size, and
-# 2^17 entries took 1.3x / 1.5x the time of 2^16 at 22 / 26 bits (one BLAS
-# thread, 2-core Xeon).
+# (256 KB), and a power of two. Slabs are rounded down to a power of two as
+# well, so that every block of a slab is whole. Larger blocks are slower: the
+# product is bound by call cost and the L2 size, and 2^17 entries took 1.3x /
+# 1.5x the time of 2^16 at 22 / 26 bits (one BLAS thread, 2-core Xeon).
 ENUM_BLOCK_ENTRIES = 1 << 16
 # At most 2^12 low-half states, so each block scores at least 16 high-half states.
 ENUM_LOW_BITS = 12
@@ -123,9 +123,10 @@ class ExpandedGraph:
     `bases` are filled together, by `_fill` through `__getattr__`, the
     first time any of them is read, and a graph of more than
     `EXPAND_MAX_VERTICES` vertices refuses that fill. `mis_oracle`,
-    `evaluate` (and so the decomposition check), `evaluate_edge_observable`
-    and the counts read only the fragments and the core count, so they
-    never fill a graph from `expand`. On any other graph the counts are the
+    `evaluate` (and so the decomposition check), `evaluate_edge_observable`,
+    `adjacency_masks` (and so `brute_force_max`), `max_edge_observable` and
+    the counts read only the fragments and the core count, so they never
+    fill a graph from `expand`. On any other graph the counts are the
     lengths of the three fields. `neighbors` is built from `edges`;
     `sorted_edges` is only for readers whose output follows the edge order.
     """
@@ -186,7 +187,16 @@ class ExpandedGraph:
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        return tuple(_indset.adjacency_masks(self.vertex_count, self.edges))
+        if self._assembled_cores is None:
+            return tuple(_indset.adjacency_masks(self.vertex_count, self.edges))
+        # Each fragment's edges, placed by `_place` as `_fill` places them but
+        # without the vertices or the edge set, so the graph is not filled; past
+        # the expansion limit it refuses as the fill would.
+        check_expansion_limit(self)
+        edges: list[tuple[int, int]] = []
+        for f in self.fragments:
+            _place(f.weight, *f.endpoints, f.first, edges, [])
+        return tuple(_indset.adjacency_masks(self.vertex_count, edges))
 
     @cached_property
     def bases_of_vertex(self) -> tuple[tuple[int, ...], ...]:
@@ -431,15 +441,29 @@ def _block_max(n: int, adjacency: Sequence[int]) -> int:
     """Exact max over all 2^n assignments of the expression: the vertices at
     1 minus the edges with both ends at 1.
 
-    With the vertices split into a low half L and a high half H, the
-    expression is f_L(x_L) + f_H(x_H) - x_L . (A_LH x_H). The high states
-    are walked in slabs of whole blocks. Per slab, their bit rows, their
-    coupled rows (-x_H A_HL beside a constant 1 that picks f_L) and f_H are
-    computed once; per block, one matrix product scores the block against
-    every low state and one row max keeps each high state's best. Each
-    slab's best is then the max of those row maxima plus f_H. Every state
-    is scored. float32 is exact here: every value is an integer of size at
-    most n^2 < 2^24.
+    The vertices split into a low half L, the highest-labelled half (at
+    most `ENUM_LOW_BITS` vertices), and a high half H. The expression is
+    f_L(x_L) + f_H(x_H) - x_L . (A_LH x_H), and only the boundary B of H,
+    its vertices with a neighbour in L, meets L: A_LH x_H = A_LB x_B. So a
+    high state's best over the low states is f_H(x_H) + g(x_B), where
+    g(x_B) is the max over x_L of f_L(x_L) - x_L . (A_LB x_B), and high
+    states with equal B bits share g. A graph from `_assemble` numbers its
+    cores first, so L is the last gadgets' auxiliary vertices and B is
+    mostly a few cores.
+
+    The expression does not depend on the labels, so H is relabelled with B
+    in the low bits of the high index and the rest of H above them. The
+    high states are walked in slabs of a power of two of states, each of
+    whole blocks, so a slab runs through min(slab, 2^|B|) consecutive values
+    of x_B, each as often as the others, and only those are scored: per
+    block, one matrix product scores their coupled rows (-x_B A_BL beside a
+    constant 1 that picks f_L) against every low state and one row max
+    keeps g. When 2^|B| states fit in a slab, every slab runs through all
+    of them, so g is scored once. A slab's best is the max of f_H plus g,
+    broadcast over the slab reshaped to one row per repeat of x_B. Every
+    state is still valued exactly, and float32 is exact here: every value
+    is an integer of size at most n^2 < 2^24. The kernel reads only the
+    adjacency masks, so it shares nothing with `mis_oracle`.
     """
     import numpy as np
 
@@ -452,7 +476,12 @@ def _block_max(n: int, adjacency: Sequence[int]) -> int:
 
     low = min((n + 1) // 2, ENUM_LOW_BITS)
     high = n - low
-    adj = bits(adjacency, n)
+    low_half = (1 << n) - (1 << high)
+    boundary = [v for v in range(high) if adjacency[v] & low_half]
+    interior = [v for v in range(high) if not adjacency[v] & low_half]
+    width = len(boundary)
+    order = [*boundary, *interior, *range(high, n)]
+    adj = bits(adjacency, n)[np.ix_(order, order)]
     # The row sums of x are products with a ones vector: `x.sum(axis=1)` ran
     # 1.5-4% slower over the whole walk.
     ones = np.ones(n, dtype=np.float32)
@@ -467,33 +496,48 @@ def _block_max(n: int, adjacency: Sequence[int]) -> int:
     # 6-20% slower per block, so the time followed the heap's state.
     table = _aligned_float32((low + 1, 1 << low))
     table[:low] = bits(np.arange(1 << low), low).T
-    table[low] = objective(table[:low].T, 0, low)
-    coupling = -adj[low:, :low]
+    table[low] = objective(table[:low].T, high, n)
+    coupling = -adj[:width, high:]
     states = 1 << high
     chunk = min(ENUM_BLOCK_ENTRIES >> low, states)
     # Whole blocks per slab, as many as keep a slab's bit rows and coupled
-    # rows (n + 1 entries per state) within a quarter of a score matrix:
-    # slabs four times as large held more memory and ran no faster.
-    slab = min(max(ENUM_BLOCK_ENTRIES // (4 * (n + 1)) // chunk, 1) * chunk, states)
-    # Buffers for one call, refilled per slab and per block: a fresh 256 KB
+    # rows (at most n + 1 entries per state) within a quarter of a score matrix,
+    # rounded down to a power of two: slabs four times as large held more
+    # memory and ran no faster.
+    slab = max(ENUM_BLOCK_ENTRIES // (4 * (n + 1)) // chunk, 1) * chunk
+    slab = min(1 << (slab.bit_length() - 1), states)
+    # Values of x_B per slab, and states per block: both powers of two, so
+    # every block is whole and every row it reads is written first.
+    distinct = min(slab, 1 << width)
+    block = min(chunk, distinct)
+    # Buffers for one call, refilled per scoring and per block: a fresh 256 KB
     # matrix per block may be page-faulted in anew each time, as the malloc
     # heap's state has it.
-    scores = _aligned_float32((chunk, 1 << low))
-    coupled = _aligned_float32((slab, low + 1))
+    scores = _aligned_float32((block, 1 << low))
+    coupled = _aligned_float32((distinct, low + 1))
     # The last column stays 1 and picks the f_L row of `table`, so one
-    # product gives f_L - x_L . (A_LH x_H).
+    # product gives f_L - x_L . (A_LB x_B).
     coupled[:, low] = 1.0
-    rowmax = np.empty(slab, dtype=np.float32)
+    g = np.empty(distinct, dtype=np.float32)
+
+    def score(first: int) -> None:
+        """g of the `distinct` values of x_B from `first` on."""
+        np.matmul(bits(np.arange(first, first + distinct), width), coupling, out=coupled[:, :low])
+        for r in range(0, distinct, block):
+            np.matmul(coupled[r : r + block], table, out=scores).max(axis=1, out=g[r : r + block])
+
+    scored = None  # the first value of x_B that `g` holds
 
     # A function per slab, so that one slab's bit rows are freed before the
     # next slab's are built.
     def slab_max(start: int) -> float:
-        rows = min(slab, states - start)
-        x_high = bits(np.arange(start, start + rows), high)
-        np.matmul(x_high, coupling, out=coupled[:rows, :low])
-        for r in range(0, rows, chunk):
-            np.matmul(coupled[r : r + chunk], table, out=scores).max(axis=1, out=rowmax[r : r + chunk])
-        return float((rowmax[:rows] + objective(x_high, low, n)).max())
+        nonlocal scored
+        first = start % (1 << width)
+        if first != scored:
+            score(first)
+            scored = first
+        f_high = objective(bits(np.arange(start, start + slab), high), 0, high)
+        return float((f_high.reshape(-1, distinct) + g).max())
 
     return int(max(slab_max(start) for start in range(0, states, slab)))
 
@@ -531,10 +575,13 @@ def max_edge_observable(fragment: ExpandedGraph, *, max_bits: int | None = None)
     """
     n = fragment.vertex_count
     check_enumeration_capacity(n, max_bits, advice="")
-    cores = _edge_cores(fragment)
-    label = {v: k for k, v in enumerate(v for v in range(n) if v not in cores)}
-    edges = [(label[i], label[j]) for i, j in fragment.edges if i in label and j in label]
-    return _block_max(n - 2, _indset.adjacency_masks(n - 2, edges))
+    p, q = sorted(_edge_cores(fragment))
+    # Each other vertex's mask with the two core bits squeezed out, so the
+    # other vertices keep their order and are numbered 0..n-3.
+    below_p, between = (1 << p) - 1, (1 << (q - p - 1)) - 1
+    masks = [(m & below_p) | (m >> (p + 1) & between) << p | (m >> (q + 1)) << (q - 1)
+             for v, m in enumerate(fragment.adjacency_masks) if v != p and v != q]
+    return _block_max(n - 2, masks)
 
 
 @lru_cache(maxsize=64)

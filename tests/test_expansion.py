@@ -324,6 +324,15 @@ class TestEdgeObservable:
         g, (p, q) = case
         assert max_edge_observable(g) == _gray_walk_max(len(g.vertices), g.adjacency_masks, (1 << p) | (1 << q))
 
+    # A gadget's masks come from its fragment; the reference walks the
+    # filled graph with the cores penalized.
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_gadget_matches_gray_walk_with_penalized_cores(self, n):
+        g = expand_hyper_edge(n)
+        assert max_edge_observable(g) == 2 * n
+        assert _unfilled(g)
+        assert 2 * n == _gray_walk_max(len(g.vertices), _indset.adjacency_masks(len(g.vertices), g.edges), 0b11)
+
     def test_requires_two_cores(self):
         h = generate(FamilySpec("complete", k=3, weights=1))
         g = expand(h)
@@ -472,11 +481,14 @@ class TestBlockEnumeration:
     # states, one block per slab. In the third, a block holds 2^10 >> 8 = 4
     # high states at 16 vertices, and a slab the whole blocks whose bit rows
     # and coupled rows (n + 1 = 17 entries per state) fit in a quarter of
-    # 2^10 entries: 256 // 17 = 15 states, cut to 3 blocks of 4. So the 2^8
-    # high states run as 21 slabs of 12 and a last slab of 4, one block. At
-    # 13-15 vertices the slabs hold 2-4 blocks each. On an edgeless graph the
-    # best state sets every vertex: the last high state, in the last slab.
-    @pytest.mark.parametrize("low_bits, block_entries", [(12, 1 << 16), (3, 1 << 5), (8, 1 << 10)])
+    # 2^10 entries: 256 // 17 = 15 states, cut to 3 blocks of 4 and rounded
+    # down to a power of two, 8. So the 2^8 high states run as 32 slabs of 8,
+    # two blocks each when all 8 high vertices meet the low half. At 13-15
+    # vertices the slabs hold 2-4 blocks each. On an edgeless graph the best
+    # state sets every vertex: the last high state, in the last slab.
+    BLOCK_SETTINGS = [(12, 1 << 16), (3, 1 << 5), (8, 1 << 10)]
+
+    @pytest.mark.parametrize("low_bits, block_entries", BLOCK_SETTINGS)
     @settings(max_examples=100, deadline=None)
     @given(case=masked_graphs())
     @example(case=(16, [0] * 16))
@@ -484,6 +496,57 @@ class TestBlockEnumeration:
         n, adjacency = case
         with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries):
             assert expansion._block_max(n, adjacency) == _gray_walk_max(n, adjacency)
+
+    # Every buffer starts as NaN, and every block product checks that its
+    # operands hold none: a row scored before it is written fails here, even
+    # where its score would never reach the answer.
+    @pytest.mark.parametrize("low_bits, block_entries", BLOCK_SETTINGS)
+    @settings(max_examples=50, deadline=None)
+    @given(case=masked_graphs())
+    @example(case=(16, [0] * 16))
+    def test_reads_no_unwritten_row(self, low_bits, block_entries, case):
+        n, adjacency = case
+        real_buffer, real_matmul = expansion._aligned_float32, np.matmul
+
+        def nan_filled(shape):
+            a = real_buffer(shape)
+            a.fill(np.nan)
+            return a
+
+        def checked_matmul(a, b, **kwargs):
+            assert not (np.isnan(a).any() or np.isnan(b).any())
+            return real_matmul(a, b, **kwargs)
+
+        with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries,
+                                 _aligned_float32=nan_filled), mock.patch.object(np, "matmul", checked_matmul):
+            assert expansion._block_max(n, adjacency) == _gray_walk_max(n, adjacency)
+
+    # 16 vertices: a path through the high half 0-7 and a triangle and two
+    # paths in the low half 8-15 (the 8 highest labels, in every setting but
+    # the second, whose low half is 13-15), joined by the given links.
+    @pytest.mark.parametrize("low_bits, block_entries", BLOCK_SETTINGS)
+    @pytest.mark.parametrize("links", [
+        (),  # an empty boundary: the low half is isolated
+        tuple((v, 8 + (3 * v) % 8) for v in range(8)),  # every high vertex meets the low half
+        tuple((5, u) for u in range(8, 16)),  # one boundary vertex, joined to all of the low half
+    ], ids=["empty-boundary", "whole-boundary", "single-boundary-vertex"])
+    def test_boundary_shapes(self, low_bits, block_entries, links):
+        edges = [(v, v + 1) for v in range(7)] + [(8, 9), (9, 10), (8, 10), (11, 12), (12, 13), (14, 15)]
+        adjacency = _indset.adjacency_masks(16, [*edges, *links])
+        with mock.patch.multiple(expansion, ENUM_LOW_BITS=low_bits, ENUM_BLOCK_ENTRIES=block_entries):
+            assert expansion._block_max(16, adjacency) == _gray_walk_max(16, adjacency)
+
+    # The kernel relabels the high half by its boundary, so the labels it is
+    # given decide which vertices meet the low half, not the answer.
+    @settings(max_examples=100, deadline=None)
+    @given(case=masked_graphs(), data=st.data())
+    def test_shuffled_masks_give_the_same_maximum(self, case, data):
+        n, adjacency = case
+        perm = data.draw(st.permutations(range(n)))
+        shuffled = [0] * n
+        for v, mask in enumerate(adjacency):
+            shuffled[perm[v]] = sum(1 << perm[u] for u in range(n) if mask >> u & 1)
+        assert expansion._block_max(n, shuffled) == expansion._block_max(n, adjacency)
 
     def test_empty_graph(self):
         assert brute_force_max(ExpandedGraph((), frozenset(), ())) == 0
@@ -499,15 +562,32 @@ class TestBlockEnumeration:
         assert len(g.vertices) == 26
         assert brute_force_max(g) == family_bound(spec).total == 10
 
+    @staticmethod
+    def _dense_26_bits() -> ExpandedGraph:
+        """G(26, 0.5), in which each of the 14 high vertices meets the low half 14-25."""
+        rng = random.Random(26)
+        edges = frozenset((i, j) for i in range(26) for j in range(i + 1, 26) if rng.random() < 0.5)
+        g = ExpandedGraph(tuple(CoreVertex(i) for i in range(26)), edges, ())
+        assert all(mask >> 14 for mask in g.adjacency_masks[:14])
+        return g
+
     # Slabs keep the walk's memory flat in the bit count (about 0.6 MB here):
-    # the bit rows and coupled rows of all 2^14 high states of the 26-bit
-    # instance would take 1.7 MB alone.
+    # the bit rows and coupled rows of all 2^14 high states of a 26-bit
+    # instance would take 1.7 MB alone. On the dense graph every high vertex
+    # meets the low half, so each slab scores each of its states, and no
+    # array over all 2^14 values of the boundary bits is held either.
     @pytest.mark.parametrize("spec, bits", [
         (FamilySpec("cyclic", k=8, weights=(1, 0, 0, 1, 0, 0, 1, 0)), 26),
         (FamilySpec("cyclic", k=4, weights=(2, 0, 2, 0)), 28),
+        (None, 26),  # `_dense_26_bits`
     ])
     def test_peak_memory_stays_under_a_ceiling(self, spec, bits):
-        g = expand(generate(spec))
+        if spec is None:
+            g = self._dense_26_bits()
+            expected = _indset.independence_number(g.adjacency_masks)
+        else:
+            g = expand(generate(spec))
+            expected = family_bound(spec).total
         assert len(g.adjacency_masks) == bits
         tracemalloc.start()
         try:
@@ -515,7 +595,7 @@ class TestBlockEnumeration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert value == family_bound(spec).total
+        assert value == expected
         assert peak < 1_000_000
 
 
@@ -1016,6 +1096,26 @@ class TestLazyGraph:
         assert mis_oracle(g, max_vertices=g.vertex_count) == family_bound(spec).total == 136
         assert fills == [] and _unfilled(g)
 
+    def test_enumerations_read_only_the_fragments(self, monkeypatch):
+        fills = self._spy_fill(monkeypatch)
+        spec = FamilySpec("cyclic", k=3, weights=1)
+        g, edge = expand(generate(spec)), expand_hyper_edge(3)
+        assert brute_force_max(g) == family_bound(spec).total == 7
+        assert max_edge_observable(edge) == 6
+        assert brute_force_max(edge) == 7
+        assert fills == [] and _unfilled(g) and _unfilled(edge)
+
+    # The masks come from the fragments, not from the filled edges: they must
+    # equal the masks of the edges of a copy that `_fill` filled.
+    @settings(max_examples=100, deadline=None)
+    @given(h=weighted_hypergraphs(), weight=st.integers(0, 6))
+    def test_masks_match_the_filled_edges(self, h, weight):
+        for make in (lambda: expand(h), lambda: expand_hyper_edge(weight)):
+            g, filled = make(), make()
+            edges = expansion._fill(filled)["edges"]
+            assert g.adjacency_masks == tuple(_indset.adjacency_masks(filled.vertex_count, edges))
+            assert _unfilled(g)
+
     def test_decomposition_check_reads_only_the_fragments(self, monkeypatch):
         rng = random.Random(5)
         h = random_hypergraph(rng, 6, max_weight=2)
@@ -1191,7 +1291,8 @@ class TestHeavyEdges:
             mis_oracle(g)
         with pytest.raises(CapacityError, match=rf"^{n} vertices exceed the 30-bit enumeration limit$"):
             max_edge_observable(g)
-        for read in (to_dot, lambda g: ks_propagate(g, {0: 1, 1: 1}), lambda g: verify_realization(g, [], 1e-9)):
+        for read in (to_dot, lambda g: ks_propagate(g, {0: 1, 1: 1}), lambda g: verify_realization(g, [], 1e-9),
+                     lambda g: g.adjacency_masks):
             with pytest.raises(CapacityError, match=self.LIMIT):
                 read(g)
         assert _unfilled(g)
